@@ -22,8 +22,7 @@ std::uint64_t prefix_parities(proto::TreeOps& ops, NodeId root,
   push_u128(payload, range.lo);
   push_u128(payload, range.hi);
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> p) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> p) {
     const hashing::PairwiseHash hash(p[0], p[1], static_cast<int>(p[2]));
     const Interval rng{read_u128(p, 3), read_u128(p, 5)};
     const int en_bits = g.edge_num_bits();
@@ -57,8 +56,7 @@ std::uint64_t xor_below(proto::TreeOps& ops, NodeId root,
   push_u128(payload, range.lo);
   push_u128(payload, range.hi);
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> p) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> p) {
     const hashing::PairwiseHash hash(p[0], p[1], static_cast<int>(p[2]));
     const auto bound = std::uint64_t{1} << p[3];
     const Interval rng{read_u128(p, 4), read_u128(p, 6)};
@@ -86,8 +84,7 @@ std::uint64_t incident_count(proto::TreeOps& ops, NodeId root,
   Words payload{candidate};
   push_u128(payload, range.lo);
   push_u128(payload, range.hi);
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> p) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> p) {
     const Interval rng{read_u128(p, 1), read_u128(p, 3)};
     const int en_bits = g.edge_num_bits();
     std::uint64_t count = 0;

@@ -16,8 +16,7 @@ namespace kkt::core {
 // node, so this bounds the search range from above).
 graph::AugWeight max_incident_aug(proto::TreeOps& ops, NodeId root) {
   const graph::Graph& g = ops.graph();
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t>) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t>) {
     // Largest incident aug weight == last entry of the sorted index.
     const std::span<const graph::SortedIncidence> inc = g.sorted_incident(self);
     const graph::AugWeight best = inc.empty() ? 0 : inc.back().aug;
@@ -25,16 +24,15 @@ graph::AugWeight max_incident_aug(proto::TreeOps& ops, NodeId root) {
     push_u128(words, best);
     return words;
   };
-  const proto::CombineFn combine =
-      [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-         std::span<const std::uint64_t> child) {
-        const util::u128 a = read_u128(acc, 0);
-        const util::u128 c = read_u128(child, 0);
-        if (c > a) {
-          acc[0] = util::hi64(c);
-          acc[1] = util::lo64(c);
-        }
-      };
+  const auto combine = [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
+                          std::span<const std::uint64_t> child) {
+    const util::u128 a = read_u128(acc, 0);
+    const util::u128 c = read_u128(child, 0);
+    if (c > a) {
+      acc[0] = util::hi64(c);
+      acc[1] = util::lo64(c);
+    }
+  };
   Words result = ops.broadcast_echo(root, Words{}, local, combine);
   return read_u128(result, 0);
 }

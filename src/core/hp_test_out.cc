@@ -23,8 +23,7 @@ HpTestOutResult run(proto::TreeOps& ops, NodeId root, Interval range,
                     std::uint64_t alpha, std::uint64_t p) {
   const graph::Graph& g = ops.graph();
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> payload) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> payload) {
     const hashing::SetPolynomial poly(payload[0], payload[1]);
     const Interval rng{read_u128(payload, 2), read_u128(payload, 4)};
     const int en_bits = g.edge_num_bits();
@@ -52,14 +51,13 @@ HpTestOutResult run(proto::TreeOps& ops, NodeId root, Interval range,
   // The interior-node products run through the polynomial's Barrett
   // reciprocal too (identical values to mulmod).
   const hashing::SetPolynomial combiner(alpha, p);
-  const proto::CombineFn combine =
-      [combiner](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-                 std::span<const std::uint64_t> child) {
-        acc[0] = combiner.combine(acc[0], child[0]);
-        acc[1] = combiner.combine(acc[1], child[1]);
-        acc[2] += child[2];
-        acc[3] += child[3];
-      };
+  const auto combine = [combiner](NodeId, NodeId, graph::EdgeIdx, Words& acc,
+                                  std::span<const std::uint64_t> child) {
+    acc[0] = combiner.combine(acc[0], child[0]);
+    acc[1] = combiner.combine(acc[1], child[1]);
+    acc[2] += child[2];
+    acc[3] += child[3];
+  };
 
   Words result =
       ops.broadcast_echo(root, encode_payload(alpha, p, range), local, combine);
@@ -87,8 +85,7 @@ HpTestOutResult hp_test_out_discover_prime(proto::TreeOps& ops, NodeId root,
   const graph::Graph& g = ops.graph();
 
   // Step 0: one broadcast-and-echo computing maxEdgeNum(T) and B.
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t>) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t>) {
     std::uint64_t max_edge_num = 0;
     std::uint64_t degree = 0;
     for (const graph::Incidence& inc : g.incident(self)) {
@@ -97,12 +94,11 @@ HpTestOutResult hp_test_out_discover_prime(proto::TreeOps& ops, NodeId root,
     }
     return Words{max_edge_num, degree};
   };
-  const proto::CombineFn combine =
-      [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-         std::span<const std::uint64_t> child) {
-        acc[0] = std::max(acc[0], child[0]);
-        acc[1] += child[1];
-      };
+  const auto combine = [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
+                          std::span<const std::uint64_t> child) {
+    acc[0] = std::max(acc[0], child[0]);
+    acc[1] += child[1];
+  };
   Words stats = ops.broadcast_echo(root, Words{}, local, combine);
   const std::uint64_t max_edge_num = stats[0];
   const auto b_over_eps =

@@ -17,8 +17,9 @@ class CrossMark final : public sim::Protocol {
   CrossMark(graph::MarkedForest& forest, EdgeIdx e, NodeId initiator,
             NodeId peer)
       : forest_(&forest), edge_(e), initiator_(initiator), peer_(peer) {
-    // The peer marks its half inside a handler; pre-grow the half arrays
-    // (the edge may be freshly inserted) so no worker ever resizes them.
+    // The peer marks its half inside a handler; pre-grow the half array
+    // (the edge may be freshly inserted) and the tree rows so no worker
+    // ever resizes them.
     forest_->sync_capacity();
   }
 
@@ -260,29 +261,27 @@ DynamicForest::PathQuery DynamicForest::path_query(NodeId root,
   // Echo value: [found, max.hi, max.lo, edge_num]. `found` flags that the
   // target lies in the echoing subtree; the max tracks the heaviest tree
   // edge on the partial path from the subtree's root down to the target.
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> payload) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> payload) {
     const bool is_target = g.ext_id(self) == payload[0];
     return Words{is_target ? 1u : 0u, 0, 0, 0};
   };
-  const proto::CombineFn combine =
-      [&g](NodeId, NodeId, graph::EdgeIdx edge, Words& acc,
-           std::span<const std::uint64_t> child) {
-        if (child[0] == 0) return;  // target not in this child's subtree
-        assert(acc[0] == 0 && "target found in two subtrees");
-        acc[0] = 1;
-        // Extend the child's partial path with the connecting tree edge.
-        util::u128 best = read_u128(child, 1);
-        std::uint64_t best_edge = child[3];
-        const util::u128 connecting = g.aug_weight(edge);
-        if (connecting > best) {
-          best = connecting;
-          best_edge = g.edge_num(edge);
-        }
-        acc[1] = util::hi64(best);
-        acc[2] = util::lo64(best);
-        acc[3] = best_edge;
-      };
+  const auto combine = [&g](NodeId, NodeId, graph::EdgeIdx edge, Words& acc,
+                            std::span<const std::uint64_t> child) {
+    if (child[0] == 0) return;  // target not in this child's subtree
+    assert(acc[0] == 0 && "target found in two subtrees");
+    acc[0] = 1;
+    // Extend the child's partial path with the connecting tree edge.
+    util::u128 best = read_u128(child, 1);
+    std::uint64_t best_edge = child[3];
+    const util::u128 connecting = g.aug_weight(edge);
+    if (connecting > best) {
+      best = connecting;
+      best_edge = g.edge_num(edge);
+    }
+    acc[1] = util::hi64(best);
+    acc[2] = util::lo64(best);
+    acc[3] = best_edge;
+  };
 
   Words res = ops.broadcast_echo(
       root, Words{static_cast<std::uint64_t>(target_ext)}, local, combine);
@@ -303,14 +302,18 @@ void DynamicForest::broadcast_drop(NodeId root, graph::EdgeNum edge_num) {
   graph::MarkedForest& forest = *forest_;
   const graph::Graph& g = *graph_;
   // The receive hook unmarks halves inside broadcast handlers; pre-grow the
-  // half arrays so shard workers never resize them.
+  // half array and the tree rows so shard workers never resize them.
   forest.sync_capacity();
   proto::TreeOps ops(*net_, graph::TreeView(forest));
   ops.broadcast(root, Words{edge_num},
                 [&forest, &g](NodeId self,
                               std::span<const std::uint64_t> payload) {
+                  // Only the dropped edge's two endpoints scan.
+                  const graph::ExtId peer_ext = graph::edge_num_peer_id(
+                      payload[0], g.ext_id(self), g.id_bits());
+                  if (peer_ext == 0) return;
                   for (const graph::Incidence& inc : g.incident(self)) {
-                    if (g.edge_num(inc.edge) == payload[0]) {
+                    if (g.ext_id(inc.peer) == peer_ext) {
                       forest.unmark_half(inc.edge, self);
                     }
                   }

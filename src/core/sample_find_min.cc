@@ -251,8 +251,7 @@ std::uint64_t test_out_pivots(proto::TreeOps& ops, NodeId root,
   payload.push_back(packed[0]);
   payload.push_back(packed[1]);
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> p) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> p) {
     const std::uint64_t sd = p[0];
     const util::u128 base_in = read_u128(p, 1);
     const int shift = static_cast<int>(p[3]);

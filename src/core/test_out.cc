@@ -28,8 +28,7 @@ std::uint64_t test_out_sliced(proto::TreeOps& ops, NodeId root,
   assert(!range.empty());
   const graph::Graph& g = ops.graph();
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> payload) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> payload) {
     const hashing::OddHash hash(payload[0], payload[1]);
     const Interval rng{read_u128(payload, 2), read_u128(payload, 4)};
     const int slices = static_cast<int>(payload[6]);
@@ -71,8 +70,7 @@ std::uint64_t test_out_sliced_amplified(proto::TreeOps& ops, NodeId root,
   payload.push_back(static_cast<std::uint64_t>(w));
   payload.push_back(static_cast<std::uint64_t>(reps));
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t> p) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t> p) {
     const std::uint64_t sd = p[0];
     const Interval rng{read_u128(p, 1), read_u128(p, 3)};
     const int slices = static_cast<int>(p[5]);

@@ -11,24 +11,48 @@
 // updates a node stores nothing but its incident edges and these bits).
 //
 // Shard-safety contract (the sharded sim::Network runs handlers of distinct
-// nodes on worker threads): each endpoint's half-mark and half-epoch live in
-// their own array elements -- distinct memory locations per the C++ memory
+// nodes on worker threads): each endpoint's half-mark (with its epoch) lives
+// in its own array element -- a distinct memory location per the C++ memory
 // model -- so the two endpoints of one edge may mark/unmark concurrently.
 // Read accessors are bounds-checked and never grow storage; growth happens
 // only in mutators and in sync_capacity(), both of which must be called
 // from sequential context (marking protocols sync capacity in their
 // constructors, before Network::run fans handlers out).
-// Storage: dense interleaved arrays indexed by 2e + endpoint-slot, 10 bytes
-// per edge slot. Graphs whose edge-slot count exceeds a limit (implicit K_n
-// at n = 10^6 has ~5*10^11 slots) switch to a sparse std::map keyed by edge
-// index -- a maintained forest holds < n marked edges regardless of m, so
-// the map stays O(n). Sparse mode is NOT shard-safe (map nodes are shared
-// state); the limit is far above any graph the sharded executor can hold,
-// and implicit graphs opt out of sharding anyway (shard_parallel_safe).
+// Storage: a dense interleaved array of half words indexed by 2e +
+// endpoint-slot, 8 bytes per edge slot. Graphs whose edge-slot count
+// exceeds a limit (implicit K_n at n = 10^6 has ~5*10^11 slots) switch to a
+// sparse std::map keyed by edge index -- a maintained forest holds < n
+// marked edges regardless of m, so the map stays O(n). Sparse mode is NOT
+// shard-safe (map nodes are shared state); the limit is far above any
+// graph the sharded executor can hold, and implicit graphs opt out of
+// sharding anyway (shard_parallel_safe).
+//
+// Tree rows: a node only needs its 2-3 marked edges, but its incidence
+// list holds every incident edge (~128 on the dense benchmark graph). So
+// each node also keeps a *tree row*: the incidences whose own half it has
+// marked, in incident(v) order, as {peer, edge} entries -- an index over
+// the node's own mark bits, kept current as they change (mark_half /
+// unmark_half update the marking node's row, mark_edge / clear_edge /
+// clear_all both endpoints'), in the manner of an incrementally maintained
+// tree propagator rather than a per-read filter of the graph. The row
+// holds up to kTreeRowSlots entries inline; a node with more marked halves
+// (or whose incidence list a removal reordered since its row was derived,
+// see Graph::incidence_stamp; clear_edge and sync_capacity re-derive such
+// rows) reads its whole incidence list instead, so tree_row(v) is always an
+// incident(v)-ordered superset of v's marked incidences and filtering it
+// yields exactly the old filtered walk. Row entries carry 32-bit edge
+// indices (28 bytes a node); a graph with more edge slots than that keeps
+// no rows and always reads incident(v). Rows follow the half-mark shard
+// rule: a node's row is written only when that node's own half changes
+// (i.e. by its own handler), and row storage is allocated only in
+// sequential context -- sync_capacity(), or a mutator running outside
+// Network::run -- never on a worker. A forest that is never marked
+// allocates no rows.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -39,14 +63,33 @@ namespace kkt::graph {
 // arrays would exceed ~10 GB).
 inline constexpr std::size_t kForestDenseSlotLimit = std::size_t{1} << 30;
 
+// Inline entries per tree row (see the class comment).
+inline constexpr std::uint32_t kTreeRowSlots = 3;
+
+// A tree-row entry: an Incidence whose edge index fits 32 bits.
+struct RowEntry {
+  NodeId peer;
+  std::uint32_t edge;
+};
+
+// What MarkedForest::tree_row hands out: v's row, or -- when the row is
+// stale, overflowed or absent on a marked forest -- v's whole incidence
+// list. At most one part is non-empty.
+struct TreeRowSpan {
+  std::span<const RowEntry> row;
+  std::span<const Incidence> list;
+};
+
 class MarkedForest {
  public:
   // `dense_slot_limit` is a test seam; the default keeps every materialised
   // graph dense and flips only web-scale implicit families to sparse.
   explicit MarkedForest(const Graph& g,
                         std::size_t dense_slot_limit = kForestDenseSlotLimit)
-      : graph_(&g), sparse_(g.edge_slots() > dense_slot_limit) {
-    sync_capacity();
+      : graph_(&g),
+        sparse_(g.edge_slots() > dense_slot_limit),
+        rows_fit_(g.edge_slots() < kRowEdgeLimit) {
+    grow_marks();
   }
 
   // --- per-endpoint marking (what protocols do) ---------------------------
@@ -62,11 +105,12 @@ class MarkedForest {
   // phased operation pick fresh epochs above everything already placed.
   std::uint32_t max_mark_epoch() const;
 
-  // Grows the half-mark/epoch arrays to cover every current edge slot of
-  // the graph. Sequential-context only (it may reallocate); protocols whose
-  // handlers mark or unmark halves call this in their constructors so that
-  // no handler -- possibly running on a shard worker -- ever triggers
-  // growth mid-run.
+  // Grows the half-mark array to cover every current edge slot of
+  // the graph, allocates the tree rows, and re-derives every row a graph
+  // removal made stale. Sequential-context only (it may reallocate);
+  // protocols whose handlers mark or unmark halves call this in their
+  // constructors so that no handler -- possibly running on a shard worker
+  // -- ever triggers growth mid-run.
   void sync_capacity();
 
   // --- symmetric convenience (driver/test use) ----------------------------
@@ -77,28 +121,46 @@ class MarkedForest {
   void clear_all();
 
   // An edge is in the maintained forest iff both halves are marked.
-  // Inline: this is the filter predicate of every TreeView neighbor walk,
-  // the single hottest call in the protocol layer. Pure read: edges beyond
-  // the grown range are simply unmarked.
+  // Inline: with halves_marked_at this is the filter predicate of every
+  // TreeView neighbor walk, the hottest call in the protocol layer. Pure
+  // read: edges beyond the grown range are simply unmarked.
   bool is_marked(EdgeIdx e) const {
-    if (sparse_) return sparse_marked(e);
-    const std::size_t i = 2 * static_cast<std::size_t>(e);
-    return i + 1 < half_marks_.size() &&
-           (half_marks_[i] & half_marks_[i + 1]) != 0 && graph_->alive(e);
+    return is_marked_at(e, ~std::uint32_t{0});
   }
 
   // Marked and placed no later than the given epoch.
   bool is_marked_at(EdgeIdx e, std::uint32_t epoch_limit) const {
-    if (!is_marked(e)) return false;
-    if (sparse_) return mark_epoch(e) <= epoch_limit;
+    return halves_marked_at(e, epoch_limit) && graph_->alive(e);
+  }
+
+  // is_marked_at for an edge the caller knows is alive (an entry of a
+  // current tree row): one read of the edge's two half words, no graph
+  // access.
+  bool halves_marked_at(EdgeIdx e, std::uint32_t epoch_limit) const {
+    if (sparse_) return sparse_marked_at(e, epoch_limit);
     const std::size_t i = 2 * static_cast<std::size_t>(e);
-    const std::uint32_t eu = half_epochs_[i];
-    const std::uint32_t ev = half_epochs_[i + 1];
-    return (eu > ev ? eu : ev) <= epoch_limit;
+    if (i + 1 >= half_marks_.size()) return false;
+    const std::uint32_t hu = half_marks_[i];
+    const std::uint32_t hv = half_marks_[i + 1];
+    return hu != 0 && hv != 0 && (hu > hv ? hu : hv) - 1 <= epoch_limit;
   }
 
   // Whether marks live in the sparse map (see class comment).
   bool sparse() const noexcept { return sparse_; }
+
+  // The incidences of v to filter for its marked edges: v's tree row when
+  // it is current and fits inline, else v's whole incidence list (see the
+  // class comment). Either way an incident(v)-ordered superset of the
+  // incidences whose own half v has marked. Pure read.
+  TreeRowSpan tree_row(NodeId v) const {
+    if (rows_.empty()) {
+      // Never marked -- or a graph too large for rows (see ensure_rows).
+      return rows_fit_ ? TreeRowSpan{} : TreeRowSpan{{}, graph_->incident(v)};
+    }
+    const TreeRow& r = rows_[v];
+    if (r.overflowed() || !row_current(v)) return {{}, graph_->incident(v)};
+    return {{r.slots, r.size()}, {}};
+  }
 
   // Every edge has zero or two marked halves.
   bool properly_marked() const;
@@ -106,7 +168,7 @@ class MarkedForest {
   // Marked alive edges, ascending.
   std::vector<EdgeIdx> marked_edges() const;
 
-  // Marked alive incident edges of v.
+  // Marked alive incident edges of v, in incident(v) order.
   std::vector<Incidence> marked_incident(NodeId v) const;
   std::size_t marked_degree(NodeId v) const;
 
@@ -132,6 +194,56 @@ class MarkedForest {
     std::uint32_t epochs[2] = {0, 0};
   };
 
+  // One node's tree row: its own-marked incidences packed at the front,
+  // unused slots holding kRowEmpty, or -- when there are more than
+  // kTreeRowSlots of them -- kRowOverflow in slots[0] and nothing else;
+  // plus the Graph::incidence_stamp(v) the row was derived at. 28 bytes.
+  static constexpr std::uint32_t kRowEmpty = ~std::uint32_t{0};
+  static constexpr std::uint32_t kRowOverflow = kRowEmpty - 1;
+  // Edge indices at or above this do not fit a row entry.
+  static constexpr EdgeIdx kRowEdgeLimit = kRowOverflow;
+  struct TreeRow {
+    RowEntry slots[kTreeRowSlots];
+    std::uint32_t stamp = 0;
+    TreeRow() { clear(); }
+    void clear() {
+      for (RowEntry& s : slots) s = RowEntry{kNoNode, kRowEmpty};
+    }
+    void set_overflow() {
+      clear();
+      slots[0].edge = kRowOverflow;
+    }
+    bool overflowed() const { return slots[0].edge == kRowOverflow; }
+    std::uint32_t size() const {
+      std::uint32_t k = 0;
+      while (k < kTreeRowSlots && slots[k].edge != kRowEmpty) ++k;
+      return k;
+    }
+  };
+
+  // Whether v's row was derived from v's current incidence order.
+  bool row_current(NodeId v) const {
+    return rows_[v].stamp == graph_->incidence_stamp(v);
+  }
+
+  void grow_marks();  // half array only; the constructor's sync
+  // Allocates the rows (sequential context) unless the graph's edge indices
+  // outgrow RowEntry. Mutators call it, so code marking outside any
+  // protocol (tests, sequential callers) needs no explicit sync.
+  void ensure_rows() {
+    if (rows_.empty() && rows_fit_) allocate_rows();
+  }
+  void allocate_rows();
+  // Row upkeep for one node. Each touches only v's row and reads only v's
+  // own half-marks (never the peer's, which its handler may be writing on
+  // another shard), so a handler may call it for its own node.
+  // refresh_row re-derives the row from incident(v); row_insert/row_erase
+  // apply one own-half change to a current row (a stale or overflowed one
+  // is re-derived instead).
+  void refresh_row(NodeId v);
+  void row_insert(NodeId v, EdgeIdx e);
+  void row_erase(NodeId v, EdgeIdx e);
+
   // Mutator-only growth: reads never resize (see class comment).
   void ensure_size(EdgeIdx e) {
     if (!sparse_ && half_marks_.size() <= 2 * static_cast<std::size_t>(e) + 1) {
@@ -144,21 +256,27 @@ class MarkedForest {
   std::size_t edge_slots_grown() const noexcept {
     return half_marks_.size() / 2;
   }
-  bool sparse_marked(EdgeIdx e) const;  // out-of-line sparse read
+  // Out-of-line sparse read of halves_marked_at.
+  bool sparse_marked_at(EdgeIdx e, std::uint32_t epoch_limit) const;
 
   const Graph* graph_;
   bool sparse_ = false;
-  // Interleaved per-endpoint mark bytes: element 2e + slot is endpoint
-  // slot's half of edge e. Distinct bytes per endpoint keep concurrent
-  // half-writes from different shards race-free.
-  std::vector<std::uint8_t> half_marks_;
-  // Per-endpoint epoch at which the half was marked; an edge's epoch is the
-  // max over its two halves (both halves carry the same value in every
-  // marking flow, so this matches the historical single-epoch semantics).
-  std::vector<std::uint32_t> half_epochs_;
+  // Interleaved per-endpoint half words: element 2e + slot is endpoint
+  // slot's half of edge e -- 0 if unmarked, else 1 + the epoch at which it
+  // was marked, so one read answers both "marked?" and "since when?".
+  // Distinct words per endpoint keep concurrent half-writes from different
+  // shards race-free. An edge's epoch is the max over its two halves (both
+  // halves carry the same value in every marking flow, so this matches the
+  // historical single-epoch semantics).
+  std::vector<std::uint32_t> half_marks_;
   // Sparse mode: marks keyed by edge index (ascending iteration order keeps
   // marked_edges / audits deterministic and identical to the dense walk).
   std::map<EdgeIdx, SparseMarks> sparse_marks_;
+  // Tree rows, one per node; empty until the first mark (see ensure_rows).
+  std::vector<TreeRow> rows_;
+  bool rows_fit_ = true;  // edge indices fit RowEntry (fixed at construction)
+  // Graph::removals() when sync_capacity last re-derived stale rows.
+  std::uint64_t synced_removals_ = 0;
 };
 
 // A node-local lens on the maintained tree: the marked incident edges as of
@@ -178,69 +296,103 @@ class TreeView {
   // Lazy, allocation-free range over the marked incident edges of `v`:
   // protocols walk tree neighbors in their hottest loops, so the filter is
   // applied during iteration instead of materializing a vector per visit.
+  // It walks the two parts of a TreeRowSpan in turn (at most one is
+  // non-empty) and yields Incidence values. It copies the view's forest
+  // and epoch limit, so it may outlive a temporary TreeView.
   class NeighborRange {
    public:
     class iterator {
      public:
       using value_type = Incidence;
-      using reference = const Incidence&;
       using difference_type = std::ptrdiff_t;
 
-      iterator(const TreeView* view, const Incidence* cur,
-               const Incidence* end)
-          : view_(view), cur_(cur), end_(end) {
+      iterator(const MarkedForest* forest, std::uint32_t epoch_limit,
+               TreeRowSpan part)
+          : forest_(forest),
+            epoch_limit_(epoch_limit),
+            row_(part.row.data()),
+            row_end_(part.row.data() + part.row.size()),
+            list_(part.list.data()),
+            list_end_(part.list.data() + part.list.size()) {
         skip_unmarked();
       }
 
-      reference operator*() const { return *cur_; }
-      const Incidence* operator->() const { return cur_; }
+      Incidence operator*() const {
+        if (row_ != row_end_) return Incidence{row_->peer, row_->edge};
+        return *list_;
+      }
       iterator& operator++() {
-        ++cur_;
+        if (row_ != row_end_) {
+          ++row_;
+        } else {
+          ++list_;
+        }
         skip_unmarked();
         return *this;
       }
-      bool operator==(const iterator& o) const { return cur_ == o.cur_; }
-      bool operator!=(const iterator& o) const { return cur_ != o.cur_; }
+      bool operator==(const iterator& o) const {
+        return row_ == o.row_ && list_ == o.list_;
+      }
+      bool operator!=(const iterator& o) const { return !(*this == o); }
 
      private:
       void skip_unmarked() {
-        while (cur_ != end_ && !view_->contains(cur_->edge)) ++cur_;
+        // Row entries are alive (a removal would have staled the row).
+        while (row_ != row_end_ &&
+               !forest_->halves_marked_at(row_->edge, epoch_limit_)) {
+          ++row_;
+        }
+        if (row_ != row_end_) return;
+        while (list_ != list_end_ &&
+               !forest_->is_marked_at(list_->edge, epoch_limit_)) {
+          ++list_;
+        }
       }
 
-      const TreeView* view_;
-      const Incidence* cur_;
-      const Incidence* end_;
+      const MarkedForest* forest_;
+      std::uint32_t epoch_limit_;
+      const RowEntry* row_;
+      const RowEntry* row_end_;
+      const Incidence* list_;
+      const Incidence* list_end_;
     };
 
-    NeighborRange(const TreeView* view, const Incidence* first,
-                  const Incidence* last)
-        : view_(view), first_(first), last_(last) {}
+    NeighborRange(const MarkedForest* forest, std::uint32_t epoch_limit,
+                  TreeRowSpan part)
+        : forest_(forest), epoch_limit_(epoch_limit), part_(part) {}
 
-    iterator begin() const { return {view_, first_, last_}; }
-    iterator end() const { return {view_, last_, last_}; }
+    iterator begin() const { return {forest_, epoch_limit_, part_}; }
+    iterator end() const {
+      return {forest_, epoch_limit_,
+              TreeRowSpan{part_.row.subspan(part_.row.size()),
+                          part_.list.subspan(part_.list.size())}};
+    }
     std::size_t size() const {
       std::size_t d = 0;
-      for ([[maybe_unused]] const Incidence& inc : *this) ++d;
+      for ([[maybe_unused]] const Incidence inc : *this) ++d;
       return d;
     }
 
    private:
-    const TreeView* view_;
-    const Incidence* first_;
-    const Incidence* last_;
+    const MarkedForest* forest_;
+    std::uint32_t epoch_limit_;
+    TreeRowSpan part_;
   };
 
+  // Walks v's tree row (MarkedForest::tree_row) through the epoch filter:
+  // O(tree degree) per visit, in incident(v) order.
   NeighborRange neighbors(NodeId v) const {
-    const auto& adj = forest_->graph().incident(v);
-    return {this, adj.data(), adj.data() + adj.size()};
+    return {forest_, epoch_limit_, forest_->tree_row(v)};
   }
 
-  std::size_t degree(NodeId v) const {
-    std::size_t d = 0;
-    for (const Incidence& inc : forest_->graph().incident(v)) {
-      if (contains(inc.edge)) ++d;
+  std::size_t degree(NodeId v) const { return neighbors(v).size(); }
+
+  // The tree edge from v to its tree neighbor `peer`, or kNoEdge.
+  EdgeIdx edge_to(NodeId v, NodeId peer) const {
+    for (const Incidence& inc : neighbors(v)) {
+      if (inc.peer == peer) return inc.edge;
     }
-    return d;
+    return kNoEdge;
   }
 
   const MarkedForest& forest() const noexcept { return *forest_; }

@@ -212,6 +212,11 @@ void Graph::remove_edge(EdgeIdx e) {
       return;
   }
   --alive_edges_;
+  if (incidence_stamps_.empty()) incidence_stamps_.assign(n_, 0);
+  const Edge ed = edge(e);
+  ++incidence_stamps_[ed.u];
+  ++incidence_stamps_[ed.v];
+  ++removals_;
 }
 
 void Graph::set_weight(EdgeIdx e, Weight w) {

@@ -164,6 +164,16 @@ class Graph {
     return implicit_degree(v);
   }
 
+  // How many times remove_edge has reordered v's incidence list (every
+  // backend's removal swaps the row's last entry into the freed slot), and
+  // the total over all removals. Indexes derived from incident(v) order --
+  // the forest's tree rows -- compare stamps to detect a stale copy.
+  // Reads never allocate; the stamp column appears on the first removal.
+  std::uint32_t incidence_stamp(NodeId v) const noexcept {
+    return incidence_stamps_.empty() ? 0 : incidence_stamps_[v];
+  }
+  std::uint64_t removals() const noexcept { return removals_; }
+
   ExtId ext_id(NodeId v) const noexcept { return ext_ids_[v]; }
 
   // Width of the ID space (IDs < 2^id_bits) and of edge numbers.
@@ -189,8 +199,9 @@ class Graph {
   }
 
   // The alive edge {u, v}, if present.
-  // Inline: the broadcast-and-echo layer resolves {self, from} to an edge
-  // on every echo, so the adjacency-backend scan must not be a call.
+  // Inline: handlers (Add-Edge, cycle breaking, flooding) resolve
+  // {self, from} to an edge, so the adjacency-backend scan must not be a
+  // call. Tree walks resolve tree edges via TreeView::edge_to instead.
   std::optional<EdgeIdx> find_edge(NodeId u, NodeId v) const {
     assert(u < node_count() && v < node_count());
     if (backend_ == Backend::kAdjacency) {
@@ -303,6 +314,10 @@ class Graph {
   int id_bits_ = kMaxIdBits;
   std::size_t alive_edges_ = 0;
   std::size_t edge_slots_ = 0;  // kImplicit / kMapped (else edges_.size())
+  // Per-node reorder counters (see incidence_stamp); empty until the first
+  // removal, so graphs that are never mutated pay nothing.
+  std::vector<std::uint32_t> incidence_stamps_;
+  std::uint64_t removals_ = 0;
 };
 
 // Draws n distinct external IDs uniformly from [1, 2^id_bits); id_bits == 0

@@ -58,6 +58,18 @@ constexpr ExtId edge_num_large_id(EdgeNum e,
   return static_cast<ExtId>(e & ((ExtId{1} << id_bits) - 1));
 }
 
+// The other endpoint's ID if `self` is an endpoint of edge number e, else
+// 0 (never a node ID). Lets a node test "is this edge mine?" without
+// computing the edge number of each incidence.
+constexpr ExtId edge_num_peer_id(EdgeNum e, ExtId self,
+                                 int id_bits = kMaxIdBits) noexcept {
+  const ExtId lo = edge_num_small_id(e, id_bits);
+  const ExtId hi = edge_num_large_id(e, id_bits);
+  if (self == lo) return hi;
+  if (self == hi) return lo;
+  return 0;
+}
+
 // Augmented weight: raw weight concatenated in front of the edge number
 // (en_bits = 2 * id_bits).
 constexpr AugWeight make_aug_weight(Weight w, EdgeNum e,

@@ -34,15 +34,20 @@ namespace kkt::lint {
 // slot rings recycle their buffers; see graph/implicit.h). The fault layer
 // added link_state.h (is_down sits on the send path) and delivery_policy.h
 // (delivery_time/drop run once per send) -- their config-time mutators
-// carry justified suppressions, the per-send reads must stay clean.
-inline constexpr std::array<std::string_view, 16> kHotPathFiles = {
+// carry justified suppressions, the per-send reads must stay clean. The
+// tree rows brought the forest (every TreeView neighbor walk reads its
+// rows, and marking handlers write them on shard workers) and the
+// broadcast-and-echo protocol with its function-ref callbacks.
+inline constexpr std::array<std::string_view, 21> kHotPathFiles = {
     "src/sim/inline_words.h", "src/sim/message.h", "src/sim/message.cc",
     "src/sim/network.h",      "src/sim/network.cc", "src/sim/shard.h",
     "src/sim/link_state.h",   "src/sim/delivery_policy.h",
     "src/proto/words.h",      "src/core/wire.h",   "src/proto/scratch.h",
     "src/util/modmath.h",     "src/hashing/odd_hash.h",
     "src/hashing/pairwise_hash.h", "src/graph/graph.h",
-    "src/graph/implicit.h",
+    "src/graph/implicit.h",   "src/graph/forest.h", "src/graph/forest.cc",
+    "src/proto/broadcast_echo.h", "src/proto/broadcast_echo.cc",
+    "src/util/function_ref.h",
 };
 
 // Rule classes for a repo-relative path ('/'-separated); nullopt when the

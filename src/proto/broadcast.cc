@@ -56,7 +56,8 @@ AddEdgeHandshake::AddEdgeHandshake(graph::MarkedForest& forest,
   seen_->ensure(tree_.graph().node_count());
   seen_->next_run();
   // The handshake marks both halves of the target edge from inside
-  // handlers; pre-grow the half arrays so shard workers never resize them.
+  // handlers; pre-grow the half array and the tree rows so shard workers
+  // never resize them.
   forest_->sync_capacity();
 }
 
@@ -95,9 +96,14 @@ void AddEdgeHandshake::relay_and_check(sim::Network& net, NodeId self,
                           {static_cast<std::uint64_t>(edge_num_)}));
   }
   // Is the edge to add incident to me, with me inside the tree? (The edge
-  // itself is unmarked, so it never appears among tree_.neighbors.)
-  for (const graph::Incidence& inc : tree_.graph().incident(self)) {
-    if (tree_.graph().edge_num(inc.edge) == edge_num_) {
+  // itself is unmarked, so it never appears among tree_.neighbors.) The
+  // edge number names both endpoints, so only they scan their incidences.
+  const graph::Graph& g = tree_.graph();
+  const graph::ExtId peer_ext = graph::edge_num_peer_id(
+      edge_num_, g.ext_id(self), g.id_bits());
+  if (peer_ext == 0) return;
+  for (const graph::Incidence& inc : g.incident(self)) {
+    if (g.ext_id(inc.peer) == peer_ext) {
       forest_->mark_half(inc.edge, self, epoch_);
       net.send(self, inc.peer, sim::Message(sim::Tag::kAddEdge));
       break;

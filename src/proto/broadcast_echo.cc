@@ -6,13 +6,13 @@
 namespace kkt::proto {
 
 BroadcastEcho::BroadcastEcho(const graph::TreeView& tree, NodeId root,
-                             Words payload, LocalFn local, CombineFn combine,
-                             EchoScratch* scratch)
+                             Words payload, LocalRef local,
+                             CombineRef combine, EchoScratch* scratch)
     : tree_(tree),
       root_(root),
       payload_(std::move(payload)),
-      local_(std::move(local)),
-      combine_(std::move(combine)),
+      local_(local),
+      combine_(combine),
       scratch_(scratch != nullptr ? scratch : &own_scratch_) {
   scratch_->ensure(tree.graph().node_count());
   scratch_->next_run();
@@ -54,9 +54,11 @@ void BroadcastEcho::on_message(sim::Network& net, NodeId self, NodeId from,
       break;
     case sim::Tag::kEcho: {
       assert(scratch_->started(self) && scratch_->pending(self) > 0);
-      const auto edge = tree_.graph().find_edge(self, from);
-      assert(edge.has_value());
-      combine_(self, from, *edge, scratch_->acc(self), msg.words);
+      // The child is a tree neighbor (the broadcast reached it over this
+      // edge), so the lookup walks self's tree row, not its adjacency.
+      const graph::EdgeIdx edge = tree_.edge_to(self, from);
+      assert(edge != graph::kNoEdge);
+      combine_(self, from, edge, scratch_->acc(self), msg.words);
       if (--scratch_->pending(self) == 0) absorb_and_maybe_echo(net, self);
       break;
     }

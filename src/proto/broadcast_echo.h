@@ -13,7 +13,10 @@
 // its own knowledge plus the broadcast payload; `combine` folds a child's
 // echo into the accumulator. Both operate on fixed-arity word vectors so the
 // echo also fits the CONGEST budget. Works unchanged on every delivery
-// policy (parent designation happens on first receipt).
+// policy (parent designation happens on first receipt). The protocol holds
+// both callbacks by non-owning reference (util::FunctionRef): they must
+// outlive the run, which they do when passed straight into
+// TreeOps::broadcast_echo.
 //
 // Per-node state is an epoch-stamped SoA arena (proto/scratch.h): a run
 // touches only the nodes of its tree, so resetting costs O(tree size), not
@@ -25,35 +28,35 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
-#include <vector>
 
 #include "graph/forest.h"
 #include "proto/scratch.h"
 #include "proto/words.h"
 #include "sim/network.h"
+#include "util/function_ref.h"
 
 namespace kkt::proto {
 
 using graph::NodeId;
 
 // Local contribution of node `self` given the broadcast payload.
-using LocalFn = std::function<Words(NodeId self, std::span<const std::uint64_t> payload)>;
+using LocalRef = util::FunctionRef<Words(
+    NodeId self, std::span<const std::uint64_t> payload)>;
 // Fold a child's echoed value into the parent's accumulator. The parent
 // knows which tree edge the echo arrived on (`edge`), so aggregates may
 // incorporate edge attributes (e.g. the path-max query in Insert repair).
 // Must be insensitive to the order in which children are folded.
-using CombineFn =
-    std::function<void(NodeId self, NodeId child, graph::EdgeIdx edge,
-                       Words& acc, std::span<const std::uint64_t> child_val)>;
+using CombineRef = util::FunctionRef<void(
+    NodeId self, NodeId child, graph::EdgeIdx edge, Words& acc,
+    std::span<const std::uint64_t> child_val)>;
 
 class BroadcastEcho final : public sim::Protocol {
  public:
   // `scratch` may be shared across runs (see TreeOps); when null, the
   // protocol uses a private arena.
   BroadcastEcho(const graph::TreeView& tree, NodeId root, Words payload,
-                LocalFn local, CombineFn combine,
+                LocalRef local, CombineRef combine,
                 EchoScratch* scratch = nullptr);
 
   void on_start(sim::Network& net, NodeId self) override;
@@ -78,8 +81,8 @@ class BroadcastEcho final : public sim::Protocol {
   graph::TreeView tree_;
   NodeId root_;
   Words payload_;
-  LocalFn local_;
-  CombineFn combine_;
+  LocalRef local_;
+  CombineRef combine_;
 
   EchoScratch own_scratch_;  // used only when no shared arena was provided
   EchoScratch* scratch_;

@@ -11,8 +11,9 @@ CycleBreak::CycleBreak(graph::MarkedForest& forest,
       members_(std::move(members)),
       state_(forest.graph().node_count()) {
   for (const CycleMember& m : members_) state_[m.node].on_cycle = true;
-  // Handlers unmark halves on shard workers; make sure the half arrays
-  // already span every edge so no worker ever triggers growth.
+  // Handlers unmark halves on shard workers; make sure the half array
+  // already spans every edge and the tree rows exist, so no worker ever
+  // triggers growth.
   forest_->sync_capacity();
 }
 

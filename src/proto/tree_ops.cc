@@ -6,8 +6,8 @@
 
 namespace kkt::proto {
 
-Words TreeOps::broadcast_echo(NodeId root, Words payload, const LocalFn& local,
-                              const CombineFn& combine) {
+Words TreeOps::broadcast_echo(NodeId root, Words payload, LocalRef local,
+                              CombineRef combine) {
   BroadcastEcho proto(tree_, root, std::move(payload), local, combine,
                       &scratch_->echo);
   const NodeId participants[] = {root};
@@ -45,30 +45,32 @@ ElectionResult TreeOps::elect(std::span<const NodeId> fragment) {
   return res;
 }
 
-CombineFn combine_xor() {
-  return [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-            std::span<const std::uint64_t> child) {
-    assert(acc.size() == child.size());
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= child[i];
-  };
+namespace {
+
+void xor_words(NodeId, NodeId, graph::EdgeIdx, Words& acc,
+               std::span<const std::uint64_t> child) {
+  assert(acc.size() == child.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] ^= child[i];
 }
 
-CombineFn combine_sum() {
-  return [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-            std::span<const std::uint64_t> child) {
-    assert(acc.size() == child.size());
-    for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += child[i];
-  };
+void sum_words(NodeId, NodeId, graph::EdgeIdx, Words& acc,
+               std::span<const std::uint64_t> child) {
+  assert(acc.size() == child.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) acc[i] += child[i];
 }
 
-CombineFn combine_max() {
-  return [](NodeId, NodeId, graph::EdgeIdx, Words& acc,
-            std::span<const std::uint64_t> child) {
-    assert(acc.size() == child.size());
-    for (std::size_t i = 0; i < acc.size(); ++i) {
-      acc[i] = std::max(acc[i], child[i]);
-    }
-  };
+void max_words(NodeId, NodeId, graph::EdgeIdx, Words& acc,
+               std::span<const std::uint64_t> child) {
+  assert(acc.size() == child.size());
+  for (std::size_t i = 0; i < acc.size(); ++i) {
+    acc[i] = std::max(acc[i], child[i]);
+  }
 }
+
+}  // namespace
+
+CombineRef combine_xor() { return xor_words; }
+CombineRef combine_sum() { return sum_words; }
+CombineRef combine_max() { return max_words; }
 
 }  // namespace kkt::proto

@@ -38,9 +38,10 @@ class TreeOps {
         tree_(std::move(tree)),
         scratch_(scratch != nullptr ? scratch : &own_scratch_) {}
 
-  // One broadcast-and-echo from `root`; returns the aggregate.
-  Words broadcast_echo(NodeId root, Words payload, const LocalFn& local,
-                       const CombineFn& combine);
+  // One broadcast-and-echo from `root`; returns the aggregate. The
+  // callbacks are only borrowed for the duration of the call.
+  Words broadcast_echo(NodeId root, Words payload, LocalRef local,
+                       CombineRef combine);
 
   // One-way broadcast from `root` over the tree.
   void broadcast(NodeId root, Words payload,
@@ -70,11 +71,12 @@ class TreeOps {
 
 // --- stock combine functions ------------------------------------------------
 
+// References to plain functions, so the result may be stored freely.
 // Pointwise XOR of fixed-arity word vectors.
-CombineFn combine_xor();
+CombineRef combine_xor();
 // Pointwise saturating-free uint64 sum.
-CombineFn combine_sum();
+CombineRef combine_sum();
 // Pointwise max.
-CombineFn combine_max();
+CombineRef combine_max();
 
 }  // namespace kkt::proto

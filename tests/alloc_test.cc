@@ -168,11 +168,10 @@ TEST(Allocation, TreeOpsBroadcastEchoSteadyStateIsAllocationFree) {
   const graph::Graph& g = ops.graph();
   const NodeId root = 0;
 
-  const proto::LocalFn local = [&g](NodeId self,
-                                    std::span<const std::uint64_t>) {
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t>) {
     return proto::Words{g.ext_id(self)};
   };
-  const proto::CombineFn combine = proto::combine_max();
+  const auto combine = proto::combine_max();
 
   (void)ops.broadcast_echo(root, proto::Words{}, local, combine);  // warm
   const std::uint64_t before = g_allocations.load();
@@ -180,6 +179,39 @@ TEST(Allocation, TreeOpsBroadcastEchoSteadyStateIsAllocationFree) {
       ops.broadcast_echo(root, proto::Words{}, local, combine);
   const std::uint64_t delta = g_allocations.load() - before;
   EXPECT_EQ(delta, 0u);
+  EXPECT_GT(result.at(0), 0u);
+}
+
+TEST(Allocation, AddEdgeThenBroadcastEchoSteadyStateIsAllocationFree) {
+  KKT_SKIP_UNLESS_COUNTING();
+  // A Build MST step: an Add-Edge handshake (whose handlers update the
+  // marking nodes' tree rows) followed by a broadcast-and-echo over the
+  // grown tree (whose callbacks are function refs). Once the first pair
+  // has warmed the arenas, neither may allocate.
+  test::World w = test::make_gnm_world(24, 60, 5);
+  const std::vector<graph::EdgeIdx> msf = test::mark_msf(w);
+  ASSERT_GE(msf.size(), 2u);
+  w.forest->clear_edge(msf[0]);  // the handshakes below put these back
+  w.forest->clear_edge(msf[1]);
+  proto::TreeOps ops(*w.net, graph::TreeView(*w.forest));
+  const graph::Graph& g = ops.graph();
+  const auto local = [&g](NodeId self, std::span<const std::uint64_t>) {
+    return proto::Words{g.ext_id(self)};
+  };
+  const auto add_back = [&](graph::EdgeIdx e) {
+    return ops.add_edge(*w.forest, g.edge(e).u, g.edge_num(e));
+  };
+
+  ASSERT_TRUE(add_back(msf[0]));  // warm
+  (void)ops.broadcast_echo(0, proto::Words{}, local, proto::combine_max());
+  const std::uint64_t before = g_allocations.load();
+  const bool added = add_back(msf[1]);
+  const proto::Words result =
+      ops.broadcast_echo(0, proto::Words{}, local, proto::combine_max());
+  const std::uint64_t delta = g_allocations.load() - before;
+  EXPECT_EQ(delta, 0u);
+  EXPECT_TRUE(added);
+  EXPECT_TRUE(w.forest->is_spanning_forest());
   EXPECT_GT(result.at(0), 0u);
 }
 

@@ -373,6 +373,20 @@ TEST(RepoPolicy, ClassifiesByLayout) {
   EXPECT_FALSE(classify_path("README.md").has_value());
 }
 
+// The tree-row forest (row upkeep runs in marking handlers) and
+// broadcast-and-echo run inside tree-protocol handlers, on shard workers
+// too: they carry the hot-path rules.
+TEST(RepoPolicy, TreeRowFilesAreHotPath) {
+  for (const char* path :
+       {"src/graph/forest.h", "src/graph/forest.cc",
+        "src/proto/broadcast_echo.h", "src/proto/broadcast_echo.cc",
+        "src/util/function_ref.h"}) {
+    const auto cls = classify_path(path);
+    ASSERT_TRUE(cls.has_value()) << path;
+    EXPECT_TRUE(cls->hot_path) << path;
+  }
+}
+
 TEST(RepoPolicy, SeededViolationTripsFullClassScan) {
   FileClass cls;
   cls.determinism = true;

@@ -50,7 +50,7 @@ TEST_P(BroadcastEchoSweep, ComputesSumWithExactMessageCount) {
   TreeOps ops(*w.net, graph::TreeView(*w.forest));
 
   // Sum of external IDs over the tree.
-  const LocalFn local = [&w](NodeId self, std::span<const std::uint64_t>) {
+  const auto local = [&w](NodeId self, std::span<const std::uint64_t>) {
     return Words{w.g->ext_id(self)};
   };
   const NodeId root = static_cast<NodeId>(seed % n);
@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BroadcastEchoSweep,
 TEST(BroadcastEcho, SingletonTree) {
   World w = make_gnm_world(1, 0, 1);
   TreeOps ops(*w.net, graph::TreeView(*w.forest));
-  const LocalFn local = [](NodeId, std::span<const std::uint64_t>) {
+  const auto local = [](NodeId, std::span<const std::uint64_t>) {
     return Words{7};
   };
   const Words out = ops.broadcast_echo(0, Words{}, local, combine_sum());
@@ -85,8 +85,8 @@ TEST(BroadcastEcho, PayloadReachesEveryNode) {
   mark_msf(w);
   TreeOps ops(*w.net, graph::TreeView(*w.forest));
   std::vector<std::uint64_t> seen(w.g->node_count(), 0);
-  const LocalFn local = [&seen](NodeId self,
-                                std::span<const std::uint64_t> payload) {
+  const auto local = [&seen](NodeId self,
+                             std::span<const std::uint64_t> payload) {
     seen[self] = payload[0];
     return Words{1};
   };
@@ -99,11 +99,11 @@ TEST(BroadcastEcho, CombineSeesConnectingEdge) {
   World w = make_gnm_world(30, 60, 4);
   mark_msf(w);
   TreeOps ops(*w.net, graph::TreeView(*w.forest));
-  const LocalFn local = [](NodeId, std::span<const std::uint64_t>) {
+  const auto local = [](NodeId, std::span<const std::uint64_t>) {
     return Words{0};
   };
-  const CombineFn combine = [&w](NodeId, NodeId, EdgeIdx e, Words& acc,
-                                 std::span<const std::uint64_t> child) {
+  const auto combine = [&w](NodeId, NodeId, EdgeIdx e, Words& acc,
+                            std::span<const std::uint64_t> child) {
     EXPECT_TRUE(w.forest->is_marked(e));
     acc[0] += child[0] + 1;
   };
@@ -115,7 +115,7 @@ TEST(BroadcastEcho, WorksOnAsyncNetwork) {
   World w = make_gnm_world(40, 100, 5, test::NetKind::kAsync);
   mark_msf(w);
   TreeOps ops(*w.net, graph::TreeView(*w.forest));
-  const LocalFn local = [](NodeId, std::span<const std::uint64_t>) {
+  const auto local = [](NodeId, std::span<const std::uint64_t>) {
     return Words{1};
   };
   const Words out = ops.broadcast_echo(3, Words{}, local, combine_sum());
