@@ -7,14 +7,14 @@
 //   kkt_lab build --algo kkt-mst|kkt-st|ghs|flood
 //                 (--in FILE | --store FILE.kkg | --family ... as above)
 //                 [--backend auto|adjacency|csr|implicit] [--seed S]
-//                 [--net sync|async|adversarial] [--shards S]
+//                 [--net sync|async|adversarial]
 //                 [--repeat N] [--rss-budget-mb MB] [--csv]
 //   kkt_lab repair --kind mst|st --ops K
 //                 (--in FILE | --family ...) [--seed S]
-//                 [--net sync|async|adversarial] [--shards S] [--csv]
+//                 [--net sync|async|adversarial] [--csv]
 //   kkt_lab churn --workload uniform|hotspot|bridges|growth --ops K
 //                 [--family ... as above] [--kind mst|st] [--seed S]
-//                 [--net sync|async|adversarial] [--shards S]
+//                 [--net sync|async|adversarial]
 //                 [--sweep N] [--threads T]
 //                 [--trace FILE] [--record FILE] [--csv]
 //   kkt_lab churn --faults batch|regional|partition[,MODEL...]
@@ -37,9 +37,8 @@
 // `--record` writes the generated trace as a reproducible artifact and
 // `--sweep N --threads T` churns N worlds on a thread pool (aggregates are
 // bit-identical for every T). `--csv` emits machine-readable rows.
-// `--shards S` runs each simulation round-bulk-synchronously on S shard
-// workers (sim/shard.h); counters never change, wall time does, and
-// `build --repeat N --csv` reports it as `wall,<repeat>,<shards>,<min>,<med>`.
+// `build --repeat N` times N runs after one untimed warm-up; with `--csv`
+// the row is `wall,<repeat>,<min_ms>,<median_ms>`.
 // `--backend` picks the graph storage backend (docs/GRAPH_STORE.md): auto
 // resolves to implicit for the icomplete/igridlong/igeo families, so
 // `build --family igridlong --n 1048576` runs at web scale with O(n)
@@ -190,10 +189,6 @@ kkt::scenario::NetSpec make_net_spec(const Args& a,
   }
   kkt::scenario::NetSpec spec;
   spec.kind = *kind;
-  // Intra-run sharding: --shards N parallelises rounds inside one
-  // simulation (sync networks; other kinds degrade to sequential).
-  // Counters are bit-identical at any N -- only wall time moves.
-  spec.shards.shards = int(a.num("shards", 1));
   // --loss P: seeded per-delivery message loss. Loss is a property of the
   // adversarial schedule, so it requires --net adversarial; the probability
   // is quantized to /4096 so the drawn stream is exactly reproducible.
@@ -326,13 +321,12 @@ int cmd_build(const Args& a) {
     std::sort(wall_ns.begin(), wall_ns.end());
     const double min_ms = double(wall_ns.front()) / 1e6;
     const double med_ms = double(wall_ns[(wall_ns.size() - 1) / 2]) / 1e6;
-    const int shards = std::max(1, static_cast<int>(a.num("shards", 1)));
     if (csv) {
-      std::printf("wall,%d,%d,%.3f,%.3f\n", repeat, shards, min_ms, med_ms);
+      std::printf("wall,%d,%.3f,%.3f\n", repeat, min_ms, med_ms);
     } else {
       std::printf("wall: min=%.3f ms median=%.3f ms over %d reps "
-                  "at %d shard(s) (1 warm-up discarded)\n",
-                  min_ms, med_ms, repeat, shards);
+                  "(1 warm-up discarded)\n",
+                  min_ms, med_ms, repeat);
     }
   }
   // Memory gate: always report peak RSS when a budget is set (the CI

@@ -15,8 +15,8 @@ class Flood final : public sim::Protocol {
       : forest_(&forest),
         initiator_(initiator),
         seen_(forest.graph().node_count(), 0) {
-    // Handlers mark parent-edge halves on shard workers; pre-grow the half
-    // arrays so no worker ever resizes them.
+    // Handlers mark parent-edge halves; grow the half array before the run
+    // so that no delivery allocates (tests/alloc_test.cc).
     forest_->sync_capacity();
   }
 

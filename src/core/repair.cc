@@ -17,9 +17,9 @@ class CrossMark final : public sim::Protocol {
   CrossMark(graph::MarkedForest& forest, EdgeIdx e, NodeId initiator,
             NodeId peer)
       : forest_(&forest), edge_(e), initiator_(initiator), peer_(peer) {
-    // The peer marks its half inside a handler; pre-grow the half array
-    // (the edge may be freshly inserted) and the tree rows so no worker
-    // ever resizes them.
+    // The peer marks its half inside a handler; grow the half array (the
+    // edge may be freshly inserted) and the tree rows before the run so
+    // that no delivery allocates (tests/alloc_test.cc).
     forest_->sync_capacity();
   }
 
@@ -301,8 +301,9 @@ void DynamicForest::cross_mark(EdgeIdx e, NodeId initiator, NodeId peer) {
 void DynamicForest::broadcast_drop(NodeId root, graph::EdgeNum edge_num) {
   graph::MarkedForest& forest = *forest_;
   const graph::Graph& g = *graph_;
-  // The receive hook unmarks halves inside broadcast handlers; pre-grow the
-  // half array and the tree rows so shard workers never resize them.
+  // The receive hook unmarks halves inside broadcast handlers; grow the
+  // half array and the tree rows before the run so that no delivery
+  // allocates (tests/alloc_test.cc).
   forest.sync_capacity();
   proto::TreeOps ops(*net_, graph::TreeView(forest));
   ops.broadcast(root, Words{edge_num},

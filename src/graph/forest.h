@@ -10,22 +10,17 @@
 // assert the properly-marked invariant and the impromptu discipline (between
 // updates a node stores nothing but its incident edges and these bits).
 //
-// Shard-safety contract (the sharded sim::Network runs handlers of distinct
-// nodes on worker threads): each endpoint's half-mark (with its epoch) lives
-// in its own array element -- a distinct memory location per the C++ memory
-// model -- so the two endpoints of one edge may mark/unmark concurrently.
-// Read accessors are bounds-checked and never grow storage; growth happens
-// only in mutators and in sync_capacity(), both of which must be called
-// from sequential context (marking protocols sync capacity in their
-// constructors, before Network::run fans handlers out).
+// Node-local storage: each endpoint's half-mark (with its epoch) lives in
+// its own array element, written only by that endpoint's handlers. Read
+// accessors are bounds-checked and never grow storage; growth happens only
+// in mutators and in sync_capacity(). Marking protocols sync capacity in
+// their constructors, before Network::run, so that no delivery allocates
+// (the zero-allocation steady state, tests/alloc_test.cc).
 // Storage: a dense interleaved array of half words indexed by 2e +
 // endpoint-slot, 8 bytes per edge slot. Graphs whose edge-slot count
 // exceeds a limit (implicit K_n at n = 10^6 has ~5*10^11 slots) switch to a
 // sparse std::map keyed by edge index -- a maintained forest holds < n
-// marked edges regardless of m, so the map stays O(n). Sparse mode is NOT
-// shard-safe (map nodes are shared state); the limit is far above any
-// graph the sharded executor can hold, and implicit graphs opt out of
-// sharding anyway (shard_parallel_safe).
+// marked edges regardless of m, so the map stays O(n).
 //
 // Tree rows: a node only needs its 2-3 marked edges, but its incidence
 // list holds every incident edge (~128 on the dense benchmark graph). So
@@ -42,11 +37,10 @@
 // incident(v)-ordered superset of v's marked incidences and filtering it
 // yields exactly the old filtered walk. Row entries carry 32-bit edge
 // indices (28 bytes a node); a graph with more edge slots than that keeps
-// no rows and always reads incident(v). Rows follow the half-mark shard
-// rule: a node's row is written only when that node's own half changes
-// (i.e. by its own handler), and row storage is allocated only in
-// sequential context -- sync_capacity(), or a mutator running outside
-// Network::run -- never on a worker. A forest that is never marked
+// no rows and always reads incident(v). Rows follow the half-mark rule: a
+// node's row is written only when that node's own half changes (i.e. by
+// its own handler), and row storage is allocated by sync_capacity() or by
+// a mutator running outside Network::run. A forest that is never marked
 // allocates no rows.
 #pragma once
 
@@ -107,10 +101,9 @@ class MarkedForest {
 
   // Grows the half-mark array to cover every current edge slot of
   // the graph, allocates the tree rows, and re-derives every row a graph
-  // removal made stale. Sequential-context only (it may reallocate);
+  // removal made stale. Outside Network::run only (it may reallocate);
   // protocols whose handlers mark or unmark halves call this in their
-  // constructors so that no handler -- possibly running on a shard worker
-  // -- ever triggers growth mid-run.
+  // constructors so that no delivery allocates or reads a stale row.
   void sync_capacity();
 
   // --- symmetric convenience (driver/test use) ----------------------------
@@ -235,8 +228,8 @@ class MarkedForest {
   }
   void allocate_rows();
   // Row upkeep for one node. Each touches only v's row and reads only v's
-  // own half-marks (never the peer's, which its handler may be writing on
-  // another shard), so a handler may call it for its own node.
+  // own half-marks (never the peer's), so a handler may call it for its
+  // own node.
   // refresh_row re-derives the row from incident(v); row_insert/row_erase
   // apply one own-half change to a current row (a stale or overflowed one
   // is re-derived instead).
@@ -264,10 +257,10 @@ class MarkedForest {
   // Interleaved per-endpoint half words: element 2e + slot is endpoint
   // slot's half of edge e -- 0 if unmarked, else 1 + the epoch at which it
   // was marked, so one read answers both "marked?" and "since when?".
-  // Distinct words per endpoint keep concurrent half-writes from different
-  // shards race-free. An edge's epoch is the max over its two halves (both
-  // halves carry the same value in every marking flow, so this matches the
-  // historical single-epoch semantics).
+  // Each word is written only by its endpoint's handlers. An edge's epoch
+  // is the max over its two halves (both halves carry the same value in
+  // every marking flow, so this matches the historical single-epoch
+  // semantics).
   std::vector<std::uint32_t> half_marks_;
   // Sparse mode: marks keyed by edge index (ascending iteration order keeps
   // marked_edges / audits deterministic and identical to the dense walk).

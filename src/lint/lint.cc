@@ -641,13 +641,13 @@ std::vector<Finding> scan_file(std::string_view path, std::string_view text,
   }
 
   // --- shard-unsafe-static -------------------------------------------------
-  // Hot-path code runs concurrently on shard workers (sim/network.h,
-  // "Sharded fast path"): a mutable static is one object shared by every
-  // worker -- an unsynchronized write is a data race and any synchronized
-  // one is a hidden cross-shard channel -- while thread_local silently
-  // forks state per worker, breaking the one-Network-one-state model.
-  // Immutable statics (const/constexpr) are fine; static functions are not
-  // data. Deliberate uses (the shard lane pointer itself) carry a justified
+  // Hot-path code runs inside every world, and SweepExecutor
+  // (scenario/sweep.h) runs worlds on concurrent threads: a mutable static
+  // is one object shared by every world -- an unsynchronized write is a
+  // data race and any synchronized one is a hidden cross-world channel --
+  // while thread_local silently forks state per thread, breaking the
+  // one-world-one-state model. Immutable statics (const/constexpr) are
+  // fine; static functions are not data. Deliberate uses carry a justified
   // allow-comment.
   if (cls.hot_path) {
     find_words(code, "static", /*word_end=*/true, [&](std::size_t pos) {
@@ -668,14 +668,14 @@ std::vector<Finding> scan_file(std::string_view path, std::string_view text,
         if (c == ';' || c == '=' || c == '{') break;
       }
       report(RuleId::kShardUnsafeStatic, pos,
-             "mutable static in shard-hot code -- one object shared by "
-             "every shard worker; keep state node-indexed or per-lane "
-             "(sim/network.h sharded fast path)");
+             "mutable static in hot-path code -- one object shared by "
+             "every world a sweep runs concurrently; keep state "
+             "node-indexed or per-world (scenario/sweep.h)");
     });
     find_words(code, "thread_local", /*word_end=*/true, [&](std::size_t pos) {
       report(RuleId::kShardUnsafeStatic, pos,
-             "thread_local in shard-hot code -- state silently forks per "
-             "worker thread; keep state node-indexed or per-lane, or "
+             "thread_local in hot-path code -- state silently forks per "
+             "sweep thread; keep state node-indexed or per-world, or "
              "justify the exception with an allow-comment");
     });
   }

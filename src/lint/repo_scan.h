@@ -23,12 +23,11 @@ namespace kkt::lint {
 // The zero-allocation wire path (PR 2): files where tests/alloc_test.cc
 // measures zero allocations per message at runtime and kkt_lint forbids
 // allocating constructs statically. The perf campaign (PR 7) added the
-// round-bucket delivery path, the protocol scratch arenas and the
-// Barrett/hash inner loops -- all steady-state allocation-free, so they
-// ride the same rule. The sharded executor (PR 8) added sim/shard.h; hot
-// files also get the shard-unsafe-static rule, since these are exactly the
-// files whose code runs concurrently on shard workers. The backend facade
-// (graph.h) and the implicit families (implicit.h) joined with the
+// protocol scratch arenas and the Barrett/hash inner loops -- all
+// steady-state allocation-free, so they ride the same rule. Hot files also
+// get the shard-unsafe-static rule: SweepExecutor runs whole worlds on
+// concurrent threads, and these files run inside every world. The backend
+// facade (graph.h) and the implicit families (implicit.h) joined with the
 // web-scale backends PR: every protocol incidence read crosses them, and
 // the implicit query paths must stay allocation-free in steady state (the
 // slot rings recycle their buffers; see graph/implicit.h). The fault layer
@@ -36,11 +35,11 @@ namespace kkt::lint {
 // (delivery_time/drop run once per send) -- their config-time mutators
 // carry justified suppressions, the per-send reads must stay clean. The
 // tree rows brought the forest (every TreeView neighbor walk reads its
-// rows, and marking handlers write them on shard workers) and the
+// rows, and marking handlers write them) and the
 // broadcast-and-echo protocol with its function-ref callbacks.
-inline constexpr std::array<std::string_view, 21> kHotPathFiles = {
+inline constexpr std::array<std::string_view, 20> kHotPathFiles = {
     "src/sim/inline_words.h", "src/sim/message.h", "src/sim/message.cc",
-    "src/sim/network.h",      "src/sim/network.cc", "src/sim/shard.h",
+    "src/sim/network.h",      "src/sim/network.cc",
     "src/sim/link_state.h",   "src/sim/delivery_policy.h",
     "src/proto/words.h",      "src/core/wire.h",   "src/proto/scratch.h",
     "src/util/modmath.h",     "src/hashing/odd_hash.h",

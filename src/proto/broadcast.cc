@@ -56,8 +56,8 @@ AddEdgeHandshake::AddEdgeHandshake(graph::MarkedForest& forest,
   seen_->ensure(tree_.graph().node_count());
   seen_->next_run();
   // The handshake marks both halves of the target edge from inside
-  // handlers; pre-grow the half array and the tree rows so shard workers
-  // never resize them.
+  // handlers; grow the half array and the tree rows before the run so that
+  // no delivery allocates (tests/alloc_test.cc).
   forest_->sync_capacity();
 }
 

@@ -11,9 +11,8 @@ CycleBreak::CycleBreak(graph::MarkedForest& forest,
       members_(std::move(members)),
       state_(forest.graph().node_count()) {
   for (const CycleMember& m : members_) state_[m.node].on_cycle = true;
-  // Handlers unmark halves on shard workers; make sure the half array
-  // already spans every edge and the tree rows exist, so no worker ever
-  // triggers growth.
+  // Handlers unmark halves; grow the half array and the tree rows before
+  // the run so that no delivery allocates (tests/alloc_test.cc).
   forest_->sync_capacity();
 }
 
@@ -43,7 +42,7 @@ void CycleBreak::on_message(sim::Network& net, NodeId self, NodeId from,
     const auto e = net.graph().find_edge(self, from);
     assert(e.has_value());
     forest_->unmark_half(*e, self);
-    half_unmarks_.fetch_add(1, std::memory_order_relaxed);
+    ++half_unmarks_;
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "graph/implicit.h"
@@ -184,6 +185,10 @@ graph::Graph build_graph(const GraphSpec& spec, std::uint64_t seed) {
 std::unique_ptr<sim::Network> make_network(const graph::Graph& g,
                                            const NetSpec& spec,
                                            std::uint64_t seed) {
+  if (spec.shards.shards != 1) {
+    throw std::invalid_argument(
+        "NetSpec::shards: intra-run sharding was removed; only 1 is valid");
+  }
   std::unique_ptr<sim::Network> net;
   switch (spec.kind) {
     case NetKind::kSync:
@@ -198,7 +203,6 @@ std::unique_ptr<sim::Network> make_network(const graph::Graph& g,
       break;
   }
   assert(net != nullptr && "unknown network kind");
-  net->set_shards(spec.shards);
   return net;
 }
 

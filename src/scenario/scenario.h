@@ -177,11 +177,13 @@ struct NetSpec {
   NetKind kind = NetKind::kSync;
   sim::AsyncNetwork::Config async_cfg{};     // used when kind == kAsync
   sim::AdversarialConfig adversarial_cfg{};  // used when kind == kAdversarial
-  // Intra-run sharding (sim/shard.h). Applied to every network this spec
-  // builds; non-sync kinds simply degrade to the sequential paths, so the
-  // field is descriptive everywhere and effective under kSync -- results
-  // are bit-identical either way (tests/shard_test.cc).
-  sim::ShardSpec shards{};
+  // Compatibility field, kept only because the benchmark harness
+  // (kkt_bench) still assigns shards.shards = 1: the intra-run sharded
+  // executor is gone, and make_network throws std::invalid_argument for
+  // any other value rather than ignore it. Drop it with that assignment.
+  struct Shards {
+    int shards = 1;
+  } shards{};
 
   static NetSpec sync() { return NetSpec{}; }
   static NetSpec async(sim::AsyncNetwork::Config cfg = {}) {

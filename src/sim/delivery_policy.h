@@ -1,7 +1,7 @@
 // Pluggable transport policies: when does a sent message arrive?
 //
-// The Network owns the mechanism -- a pooled envelope queue drained in
-// (delivery time, send sequence) order -- and delegates the *schedule* to a
+// The Network owns the mechanism -- a timing wheel drained in (delivery
+// time, send sequence) order -- and delegates the *schedule* to a
 // DeliveryPolicy. The policy sees each send (endpoints and current virtual
 // time) and answers with a delivery timestamp, optionally scheduling
 // adversarial extras (duplicates). This separates cost accounting, which is
@@ -49,20 +49,17 @@ class DeliveryPolicy {
   // delivery_time call.
   virtual unsigned duplicates(NodeId /*from*/, NodeId /*to*/) { return 0; }
 
-  // Contract flag for the Network's round-batched fast path: true promises
-  // that delivery_time(from, to, now) == now + 1 for every send and that
-  // duplicates() always returns 0. The Network may then skip the event heap
-  // (and these two virtual calls) entirely and drain contiguous per-round
-  // buckets in send order, which is exactly the (timestamp, seq) order the
-  // heap would have produced. Policies that cannot promise this keep the
-  // default and take the general heap path.
-  virtual bool unit_delay() const noexcept { return false; }
+  // Upper bound on delivery_time(from, to, now) - now over every send the
+  // current configuration can make (duplicates included), derived from
+  // that configuration. The Network sizes its timing wheel from it when a
+  // run starts; a delay beyond it fails the run (sim/network.h).
+  virtual std::uint64_t max_delay() const noexcept = 0;
 
   // Whether this policy's configuration can ever drop() a message. The
   // Network consults this once per run: lossy schedules only apply to
   // protocols that declare Protocol::loss_safe(); for the rest loss
   // degrades to plain delay (drop() is never called, so the delay stream
-  // is untouched), mirroring the shard_safe() degrade.
+  // is untouched).
   virtual bool lossy() const noexcept { return false; }
 
   // Whether the message sent along {from, to} at virtual time `now` is
@@ -84,7 +81,7 @@ class FifoSyncPolicy final : public DeliveryPolicy {
     return now + 1;
   }
 
-  bool unit_delay() const noexcept override { return true; }
+  std::uint64_t max_delay() const noexcept override { return 1; }
 };
 
 // Benign asynchrony: independent uniform delays in [1, max_delay], drawn
@@ -98,6 +95,8 @@ class RandomDelayPolicy final : public DeliveryPolicy {
   std::uint64_t delivery_time(NodeId, NodeId, std::uint64_t now) override {
     return now + rng_.range(1, max_delay_);
   }
+
+  std::uint64_t max_delay() const noexcept override { return max_delay_; }
 
  private:
   util::Rng rng_;
@@ -166,7 +165,7 @@ class AdversarialPolicy final : public DeliveryPolicy {
 
   std::uint64_t delivery_time(NodeId from, NodeId to,
                               std::uint64_t now) override {
-    std::uint64_t lo = cfg_.min_delay, hi = cfg_.max_delay;
+    Bounds b{cfg_.min_delay, cfg_.max_delay};
     if (!edge_bounds_.empty()) {
       const std::uint64_t key = edge_key(from, to);
       const auto it = std::lower_bound(
@@ -174,18 +173,22 @@ class AdversarialPolicy final : public DeliveryPolicy {
           [](const auto& entry, std::uint64_t k) {
             return entry.first < k;
           });
-      if (it != edge_bounds_.end() && it->first == key) {
-        lo = it->second.min_delay;
-        hi = it->second.max_delay;
-      }
+      if (it != edge_bounds_.end() && it->first == key) b = it->second;
     }
-    // Zero-delay bounds would break the delivery contract (strictly after
-    // `now`); clamp to the minimum one time unit the model allows.
-    if (lo < 1) lo = 1;
-    if (hi < lo) hi = lo;
-    std::uint64_t at = now + rng_.range(lo, hi);
+    b = clamped(b);
+    std::uint64_t at = now + rng_.range(b.min_delay, b.max_delay);
     if (cfg_.reorder_window > 0) at += rng_.below(cfg_.reorder_window + 1);
     return at;
+  }
+
+  // The largest clamped upper bound, default or per-edge, plus the
+  // reorder jitter: exactly the range delivery_time draws from.
+  std::uint64_t max_delay() const noexcept override {
+    std::uint64_t hi = clamped({cfg_.min_delay, cfg_.max_delay}).max_delay;
+    for (const auto& entry : edge_bounds_) {
+      hi = std::max(hi, clamped(entry.second).max_delay);
+    }
+    return hi + cfg_.reorder_window;
   }
 
   unsigned duplicates(NodeId, NodeId) override {
@@ -250,6 +253,15 @@ class AdversarialPolicy final : public DeliveryPolicy {
     std::uint64_t num;
     std::uint64_t den;
   };
+
+  // Zero-delay bounds would break the delivery contract (strictly after
+  // `now`); clamp to the minimum one time unit the model allows, and keep
+  // the range non-empty.
+  static Bounds clamped(Bounds b) noexcept {
+    b.min_delay = std::max<std::uint64_t>(b.min_delay, 1);
+    b.max_delay = std::max(b.max_delay, b.min_delay);
+    return b;
+  }
 
   static std::uint64_t edge_key(NodeId u, NodeId v) noexcept {
     if (u > v) {

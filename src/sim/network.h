@@ -13,40 +13,26 @@
 // runs in a ParallelPhase so that elapsed time counts as the max over
 // fragments while messages still sum.
 //
-// Transport mechanics are uniform across schedules: send() places the
-// envelope into a pooled queue (slots are recycled through a free ring, so
-// steady-state traffic performs no allocation -- messages themselves are
-// trivially copyable, see sim/message.h) and the DeliveryPolicy assigns the
-// delivery timestamp. drain() delivers in (timestamp, send sequence) order.
-// SyncNetwork / AsyncNetwork / AdversarialNetwork are thin policy
-// instantiations over this one mechanism.
+// Transport mechanics are uniform across schedules: send() asks the
+// DeliveryPolicy for the delivery timestamp and appends the envelope to a
+// timing wheel (a calendar queue); drain() delivers in (timestamp, send
+// sequence) order. SyncNetwork / AsyncNetwork / AdversarialNetwork are thin
+// policy instantiations over this one mechanism.
 //
-// Fast path: when the policy promises unit delay (FifoSyncPolicy), every
-// send lands exactly one round after `now`, so at most two timestamps are
-// ever pending -- the round being drained and the next one. The Network then
-// bypasses the heap and keeps two contiguous round buckets, swapped once per
-// round and drained in append (= send sequence) order, which is exactly the
-// (timestamp, seq) order the heap would produce. The buckets keep their
-// capacity across operations, preserving the zero-allocation steady state.
-// set_round_batching(false) forces the general heap path for any policy
-// (the counter bit-identity tests compare both paths).
-//
-// Sharded fast path: set_shards(S) with S > 1 splits each fast-path round
-// across a worker pool. Nodes are partitioned by a deterministic ShardSpec
-// (sim/shard.h); every worker scans the shared, frozen current-round bucket
-// and delivers only the envelopes addressed to its own shard, so each
-// node's handlers still run on exactly one thread, in the same relative
-// order as the sequential drain. Sends made inside a worker go to a
-// per-shard lane (outbox + per-delivery send counts + lane-local Metrics);
-// at the round barrier the main thread replays the current round in global
-// order and splices each delivery's sends from its owner lane's outbox,
-// which reconstructs the exact sequential send sequence. Delivery order --
-// and therefore every Metrics counter -- is bit-identical at S=1/2/8 and
-// equal to the heap path (tests/shard_test.cc pins this). Rounds smaller
-// than the serial cutoff run the plain sequential loop. Sharding engages
-// only when the round-batched fast path does AND the protocol declares
-// shard_safe(); async/adversarial policies and opted-out protocols degrade
-// to the sequential paths, mirroring set_round_batching(false).
+// Delivery: one timing wheel. Every policy bounds its delays by an integer
+// DeliveryPolicy::max_delay(), so while the clock reads `now` every pending
+// timestamp lies in (now, now + max_delay]. The wheel has
+// W = bit_ceil(max_delay + 1) slots, and slot `at mod W` holds the
+// envelopes due at timestamp `at`, appended in send order. Pending
+// timestamps therefore map to distinct slots, and draining slot by slot
+// reproduces the (timestamp, seq) order exactly -- for every policy, with
+// no heap and no per-policy fast path. FifoSync gets W = 2: the slot being
+// drained and the next round's. The wheel is sized when run() starts and
+// its slots keep their capacity across operations, so steady-state traffic
+// performs no allocation (messages themselves are trivially copyable, see
+// sim/message.h; tests/alloc_test.cc holds this). A policy that breaks its
+// bound mid-run (e.g. per-edge bounds raised from inside a handler) fails
+// the run with std::logic_error instead of aliasing into an earlier slot.
 #pragma once
 
 #include <cassert>
@@ -61,7 +47,6 @@
 #include "sim/link_state.h"
 #include "sim/message.h"
 #include "sim/metrics.h"
-#include "sim/shard.h"
 #include "util/rng.h"
 
 namespace kkt::sim {
@@ -78,14 +63,6 @@ class Protocol {
   // Called on delivery of a message to `self` from neighbor `from`.
   virtual void on_message(Network& net, NodeId self, NodeId from,
                           const Message& msg) = 0;
-  // Whether handlers honor the node-local contract strictly enough to run
-  // on shard workers: concurrent on_message calls for nodes in *different*
-  // shards must not perform conflicting accesses to shared state. The
-  // header contract (state indexed by `self` + message content) implies
-  // this; protocols that bend it -- e.g. a baseline mutating a shared
-  // per-edge table read by same-round peers -- return false and run on the
-  // sequential fast path instead (still deterministic, just unsharded).
-  virtual bool shard_safe() const { return true; }
   // Whether the protocol tolerates seeded message *loss* (DeliveryPolicy::
   // drop): every handler chain must still reach quiescence and leave the
   // node-local state safe (possibly with a degraded result) when any subset
@@ -93,9 +70,9 @@ class Protocol {
   // reply phases that deadlock-or-corrupt on a missing reply return false;
   // the Network then degrades loss to plain delay for them (drop() is
   // never consulted, the schedule is bit-identical to the lossless run)
-  // and counts the downgrade in Network::loss_degrades() -- exactly the
-  // shard_safe() degrade pattern. LinkState outages are exempt: they model
-  // topology-shaped faults and apply to every protocol.
+  // and counts the downgrade in Network::loss_degrades(). LinkState outages
+  // are exempt: they model topology-shaped faults and apply to every
+  // protocol.
   virtual bool loss_safe() const { return true; }
 };
 
@@ -103,9 +80,7 @@ class Network {
  public:
   Network(const graph::Graph& g, std::uint64_t seed,
           std::unique_ptr<DeliveryPolicy> policy);
-  // Out of line: joins the shard worker pool (and ShardRuntime is an
-  // incomplete type here).
-  virtual ~Network();
+  virtual ~Network() = default;
 
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
@@ -118,7 +93,11 @@ class Network {
   // elapsed rounds / virtual time of this operation, which is also added to
   // metrics().rounds. `max_rounds` bounds the execution (protocols that
   // stall, e.g. leader election on a cycle, simply reach quiescence early;
-  // the bound is a backstop for tests).
+  // the bound is a backstop for tests): once the next pending timestamp
+  // lies beyond it, every pending envelope is counted in
+  // metrics().dropped_deliveries and discarded. Throws std::logic_error if
+  // the policy hands out a delay outside [1, max_delay()]; the transport is
+  // then cleared, so the Network stays usable.
   std::uint64_t run(Protocol& proto, std::span<const NodeId> participants,
                     std::uint64_t max_rounds = kDefaultMaxRounds);
 
@@ -136,8 +115,8 @@ class Network {
 
   // --- fault injection ------------------------------------------------------
   // Link outages (sim/link_state.h): sends along a down link are counted
-  // but never delivered, for every protocol and on every delivery path.
-  // Mutations are sequential-context only, hence the asserting forwarders.
+  // but never delivered, for every protocol and every policy. Mutations are
+  // sequential-context only, hence the asserting forwarders.
   const LinkState& links() const noexcept { return links_; }
   void set_link_down(NodeId u, NodeId v) {
     assert(active_ == nullptr && "link mutation during Network::run");
@@ -153,45 +132,18 @@ class Network {
   }
 
   // Number of runs in which a lossy policy was degraded to plain delay
-  // because the protocol declared loss_safe() == false (the loss analogue
-  // of the shard degrade; tests/fault_test.cc pins the behavior).
+  // because the protocol declared loss_safe() == false
+  // (tests/fault_test.cc pins the behavior).
   std::uint64_t loss_degrades() const noexcept { return loss_degrades_; }
 
   // Protocols report their peak per-node scratch footprint (bits) here.
-  // Out of line: on a shard worker the report lands in the worker's lane
-  // (merged into metrics() at the end of the run), never in shared state.
-  void report_node_state_bits(std::uint64_t bits) noexcept;
-
-  // Slow-path knob: disables the round-batched fast path, forcing every
-  // operation through the general (timestamp, seq) event heap even under a
-  // unit-delay policy. Delivery order -- and therefore every counter -- is
-  // identical either way; tests pin that equivalence. Must not be flipped
-  // while a run is in progress.
-  void set_round_batching(bool enabled) noexcept {
-    assert(active_ == nullptr && "set_round_batching during Network::run");
-    round_batching_enabled_ = enabled;
-  }
-  bool round_batching() const noexcept { return round_batching_enabled_; }
-
-  // Selects the shard partition for subsequent runs (see header comment and
-  // sim/shard.h). S < 1 normalizes to 1; S == 1 is exactly the sequential
-  // fast path. Safe to change between operations, never during a run.
-  void set_shards(const ShardSpec& spec);
-  void set_shards(int shards) { set_shards(ShardSpec{shards, {}}); }
-  const ShardSpec& shard_spec() const noexcept { return shard_spec_; }
-
-  // Rounds with fewer deliveries than this run sequentially even when
-  // sharded (dispatch overhead would dominate). The default is tuned for
-  // real workloads; tests lower it to 0 to force every round through the
-  // worker pool (TSan coverage on small graphs). Delivery order is
-  // identical either way.
-  void set_shard_serial_cutoff(std::size_t cutoff) noexcept {
-    assert(active_ == nullptr && "set_shard_serial_cutoff during run");
-    shard_serial_cutoff_ = cutoff;
+  void report_node_state_bits(std::uint64_t bits) noexcept {
+    if (bits > metrics_.peak_node_state_bits) {
+      metrics_.peak_node_state_bits = bits;
+    }
   }
 
   static constexpr std::uint64_t kDefaultMaxRounds = 1u << 26;
-  static constexpr std::size_t kDefaultShardSerialCutoff = 96;
 
  private:
   struct Envelope {
@@ -201,43 +153,12 @@ class Network {
   };
   static_assert(std::is_trivially_copyable_v<Envelope>);
 
-  // One pending delivery: a heap entry pointing at a pooled envelope slot.
-  struct Event {
-    std::uint64_t at;    // delivery timestamp
-    std::uint64_t seq;   // tie-break: FIFO among equal timestamps
-    std::uint32_t slot;  // index into pool_
-  };
-
   // Schedules one copy of the envelope at the policy-chosen timestamp.
   void schedule(const Envelope& env);
   // Delivers everything pending; returns the elapsed virtual time.
   std::uint64_t drain(Protocol& proto, std::uint64_t max_rounds);
-  // Fast-path drain: per-round buckets instead of the heap (unit delay).
-  std::uint64_t drain_rounds(Protocol& proto, std::uint64_t max_rounds);
-
-  // --- sharded fast path ----------------------------------------------------
-  // Worker pool, per-shard lanes, and the round barrier live in the pimpl
-  // (keeps <thread> out of this header and off the sequential build paths).
-  struct ShardRuntime;
-  // Round-bucket drain with shard workers per round (see header comment).
-  std::uint64_t drain_rounds_sharded(Protocol& proto, std::uint64_t max_rounds);
-  // Delivers shard `s`'s slice of cur_round_ into its lane. Runs on the
-  // worker thread owning shard s (shard 0 on the main thread).
-  void process_shard(Protocol& proto, int s);
-  // Barrier step: replays cur_round_ in global order, splicing each
-  // delivery's sends from its owner lane into next_round_ -- the exact
-  // sequence the sequential drain would have produced.
-  void merge_shard_outboxes();
-
-  // --- pooled envelope queue ----------------------------------------------
-  std::uint32_t pool_put(const Envelope& env);
-  void pool_release(std::uint32_t slot);
-  void heap_push(Event ev);
-  Event heap_pop();
-  void queue_clear();
-  static bool event_later(const Event& a, const Event& b) noexcept {
-    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
-  }
+  // Empties every slot (keeping its capacity) and resets the clock.
+  void clear_wheel();
 
   const graph::Graph* graph_;
   Metrics metrics_;
@@ -245,25 +166,14 @@ class Network {
   std::unique_ptr<DeliveryPolicy> policy_;
   Protocol* active_ = nullptr;  // protocol being run (sends allowed only then)
 
-  std::vector<Envelope> pool_;        // envelope slots, recycled
-  std::vector<std::uint32_t> ring_;   // circular FIFO of free slot indices
-  std::size_t ring_head_ = 0;         // oldest free slot
-  std::size_t ring_count_ = 0;        // number of free slots
-  std::vector<Event> heap_;           // binary min-heap on (at, seq)
-  std::vector<Envelope> cur_round_;   // fast path: round being delivered
-  std::vector<Envelope> next_round_;  // fast path: sends land here (seq order)
+  // wheel_[at & mask_]: the envelopes due at timestamp `at`, in send order.
+  std::vector<std::vector<Envelope>> wheel_;
+  std::uint64_t mask_ = 0;            // wheel_.size() - 1 (a power of two)
+  std::size_t pending_ = 0;           // envelopes in the wheel
   std::uint64_t now_ = 0;             // virtual clock, per-operation
-  std::uint64_t seq_ = 0;             // send sequence (monotonic)
   LinkState links_;                   // down/up overlay (fault injection)
   std::uint64_t loss_degrades_ = 0;   // lossy runs degraded to delay
-  bool round_batching_enabled_ = true;
-  bool fast_path_ = false;            // this run uses the round buckets
-  bool sharded_ = false;              // this run uses the shard workers
   bool loss_active_ = false;          // this run consults policy drop()
-  ShardSpec shard_spec_{};
-  ShardMap shard_map_;                // rebuilt per run (node count may grow)
-  std::size_t shard_serial_cutoff_ = kDefaultShardSerialCutoff;
-  std::unique_ptr<ShardRuntime> shard_rt_;  // lazily built on first use
 };
 
 // Accounts elapsed time for operations that run conceptually in parallel

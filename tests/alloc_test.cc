@@ -2,11 +2,11 @@
 //
 // The wire-level contract of the message fabric (sim/inline_words.h,
 // sim/network.cc) is that steady-state traffic performs no heap allocation:
-// messages carry their payload inline, envelopes live in recycled pool
-// slots, and the event heap keeps its capacity across operations. These
-// tests hold that contract by instrumenting global operator new.
+// messages carry their payload inline, and the timing wheel's slots keep
+// their capacity across operations. These tests hold that contract by
+// instrumenting global operator new.
 //
-// Discipline: the first run of a workload warms the arenas (pool growth is
+// Discipline: the first run of a workload warms the arenas (slot growth is
 // amortized and expected); the measured run must then allocate nothing.
 #include <gtest/gtest.h>
 
@@ -110,7 +110,7 @@ template <typename Net>
 std::uint64_t allocations_for_thousand_hops(Net& net) {
   const NodeId participants[] = {0};
   {
-    PingPong warmup(0, 1, 1000);  // grows pool/heap arenas once
+    PingPong warmup(0, 1, 1000);  // grows the wheel's slots once
     net.run(warmup, participants);
   }
   const std::uint64_t before = g_allocations.load();
@@ -160,8 +160,8 @@ TEST(Allocation, MessageIsTriviallyCopyableAndInline) {
 TEST(Allocation, TreeOpsBroadcastEchoSteadyStateIsAllocationFree) {
   KKT_SKIP_UNLESS_COUNTING();
   // The inner loop of FindMin: repeated broadcast-and-echoes over one
-  // TreeOps. After the first op warms the scratch arena and the transport
-  // pool, further ops must not allocate.
+  // TreeOps. After the first op warms the scratch arena and the wheel's
+  // slots, further ops must not allocate.
   test::World w = test::make_gnm_world(24, 60, 5);
   test::mark_msf(w);
   proto::TreeOps ops(*w.net, graph::TreeView(*w.forest));

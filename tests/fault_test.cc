@@ -4,15 +4,15 @@
 // delivery schedule, plus the transport-level faults (seeded message loss,
 // burst outages, LinkState link-down overlays) on sim::Network.
 //
-// The determinism contract under test is the same one the shard suite pins:
-// the full sim::Metrics block -- now including dropped_deliveries -- must be
-// bit-identical across reruns, shard counts S in {1, 2, 8}, and the heap
-// path, for every fault model. Oracle checks run after every event, so every
-// heal is verified to reconcile the forest with the centralized MSF.
+// The determinism contract under test: the full sim::Metrics block --
+// including dropped_deliveries -- must be bit-identical across reruns and
+// across SweepExecutor thread counts, for every fault model. Oracle checks
+// run after every event, so every heal is verified to reconcile the forest
+// with the centralized MSF.
 //
 // Carries the `fault` and `parallel` ctest labels: the faults CI stage runs
 // the whole suite, and the ThreadSanitizer preset picks it up so the
-// randomized soak crosses the sharded lanes under TSan (serial cutoff 0).
+// threaded fault sweep runs under TSan.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -24,6 +24,7 @@
 #include "core/build_mst.h"
 #include "core/session.h"
 #include "graph/mst_oracle.h"
+#include "scenario/sweep.h"
 #include "sim/adversarial_network.h"
 #include "sim/sync_network.h"
 #include "test_util.h"
@@ -64,13 +65,8 @@ struct ReplayOutcome {
 
 // Generates the model's schedule against the world's starting graph and
 // replays it through a fresh MaintenanceSession with oracle checks on.
-ReplayOutcome replay(FaultModel model, NetKind net, std::uint64_t seed,
-                     const sim::ShardSpec& shards = {},
-                     bool round_batching = true) {
+ReplayOutcome replay(FaultModel model, NetKind net, std::uint64_t seed) {
   World w = test::make_gnm_world(32, 96, seed, net);
-  w.net->set_shards(shards);
-  w.net->set_shard_serial_cutoff(0);
-  if (!round_batching) w.net->set_round_batching(false);
   const FaultTrace trace = generate_faults(
       *w.g, spec_for(model), util::mix_seeds(seed, kFaultSeedSalt));
   test::mark_msf(w);
@@ -138,38 +134,30 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// Shard invariance: the whole fault replay -- batch repairs, partition
-// churn, heal reconciliation -- must cost exactly the same at every shard
-// count and on the (timestamp, seq) heap path.
+// Sweep invariance: fault replays run as SweepExecutor jobs -- one world per
+// job, worlds on concurrent threads -- must cost exactly what they cost when
+// the same jobs run one after another. This is the case the `parallel`
+// label routes through ThreadSanitizer.
 // ---------------------------------------------------------------------------
 
-class FaultShardSweep : public ::testing::TestWithParam<
-                            std::tuple<FaultModel, std::uint64_t>> {};
-
-TEST_P(FaultShardSweep, MetricsBitIdenticalAcrossShardCounts) {
-  const auto [model, seed] = GetParam();
-  const ReplayOutcome base =
-      replay(model, NetKind::kSync, seed, sim::ShardSpec{1});
-  for (const int s : {2, 8}) {
-    const ReplayOutcome sharded =
-        replay(model, NetKind::kSync, seed, sim::ShardSpec{s});
-    EXPECT_EQ(base.metrics, sharded.metrics) << "shards=" << s;
-  }
-  const ReplayOutcome heap = replay(model, NetKind::kSync, seed,
-                                    sim::ShardSpec{}, /*round_batching=*/false);
-  EXPECT_EQ(base.metrics, heap.metrics);
+TEST(FaultSweep, ReplaysBitIdenticalAcrossSweepThreads) {
+  const FaultModel models[] = {FaultModel::kBatch, FaultModel::kRegional,
+                               FaultModel::kPartition};
+  const NetKind nets[] = {NetKind::kSync, NetKind::kAsync,
+                          NetKind::kAdversarial};
+  const auto job = [&](int i) {
+    return replay(models[i % 3], nets[(i / 3) % 3],
+                  1 + static_cast<std::uint64_t>(i))
+        .metrics;
+  };
+  const std::vector<sim::Metrics> serial =
+      scenario::SweepExecutor(1).map(9, job);
+  const std::vector<sim::Metrics> threaded =
+      scenario::SweepExecutor(4).map(9, job);
+  ASSERT_EQ(serial.size(), 9u);
+  EXPECT_EQ(serial, threaded);
+  for (const sim::Metrics& m : serial) EXPECT_GT(m.messages, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    ModelsSeeds, FaultShardSweep,
-    ::testing::Combine(::testing::Values(FaultModel::kBatch,
-                                         FaultModel::kRegional,
-                                         FaultModel::kPartition),
-                       ::testing::Values(1u, 7u, 1234u)),
-    [](const auto& info) {
-      return model_name(std::get<0>(info.param)) + "_s" +
-             std::to_string(std::get<1>(info.param));
-    });
 
 // ---------------------------------------------------------------------------
 // Partition detection and heal-time reconciliation.
@@ -213,7 +201,7 @@ TEST(Partition, DamageEventsAggregateBatchOutcome) {
 
 // ---------------------------------------------------------------------------
 // Transport loss: seeded drops, burst outages, per-edge overrides -- and
-// the loss_safe() degrade mirroring shard_test's AsyncAndAdversarialDegrade.
+// the loss_safe() degrade.
 // ---------------------------------------------------------------------------
 
 // Two nodes exchanging `hops` messages; counts what actually arrived.
@@ -425,9 +413,9 @@ TEST(Loss, MaintenanceSessionUnderLossIsReproducible) {
 }
 
 // ---------------------------------------------------------------------------
-// LinkState: the hard link-down overlay. Down links drop on every delivery
-// path -- round-batched, sharded, heap -- for every protocol, loss-safe or
-// not, and the drops land in dropped_deliveries.
+// LinkState: the hard link-down overlay. Down links drop under every policy,
+// for every protocol, loss-safe or not, and the drops land in
+// dropped_deliveries.
 // ---------------------------------------------------------------------------
 
 TEST(LinkOverlay, SetDownIsIdempotentAndHealRestores) {
@@ -492,15 +480,15 @@ TEST(LinkOverlay, DropsApplyToNonLossSafeProtocolsToo) {
   EXPECT_GT(net.loss_degrades(), 0u);  // policy loss was degraded away
 }
 
+// The name predates the timing wheel: the sharded executor and the heap
+// path it once compared are gone, so the case now pins that the drops are
+// reproducible on the one delivery path, under every policy.
 TEST(LinkOverlay, DropsBitIdenticalAcrossShardCountsAndHeapPath) {
   // Flooding touches every edge, so the down links are guaranteed to eat
-  // deliveries on every path; flooding also tolerates the holes (the tree
-  // just grows around them).
-  const auto run_with = [](const sim::ShardSpec& shards, bool batching) {
-    World w = test::make_gnm_world(48, 160, 5, NetKind::kSync);
-    w.net->set_shards(shards);
-    w.net->set_shard_serial_cutoff(0);
-    if (!batching) w.net->set_round_batching(false);
+  // deliveries; flooding also tolerates the holes (the tree just grows
+  // around them).
+  const auto run_with = [](NetKind kind) {
+    World w = test::make_gnm_world(48, 160, 5, kind);
     const auto alive = w.g->alive_edge_indices();
     const graph::Edge& a = w.g->edge(alive[alive.size() / 2]);
     const graph::Edge& b = w.g->edge(alive[alive.size() / 3]);
@@ -509,19 +497,17 @@ TEST(LinkOverlay, DropsBitIdenticalAcrossShardCountsAndHeapPath) {
     baseline::flood_build_st(*w.net, *w.forest);
     return w.net->metrics();
   };
-  const sim::Metrics base = run_with(sim::ShardSpec{1}, true);
-  EXPECT_GT(base.dropped_deliveries, 0u);
-  for (const int s : {2, 8}) {
-    EXPECT_EQ(base, run_with(sim::ShardSpec{s}, true)) << "shards=" << s;
+  for (const NetKind kind :
+       {NetKind::kSync, NetKind::kAsync, NetKind::kAdversarial}) {
+    const sim::Metrics base = run_with(kind);
+    EXPECT_GT(base.dropped_deliveries, 0u) << scenario::net_kind_name(kind);
+    EXPECT_EQ(base, run_with(kind)) << scenario::net_kind_name(kind);
   }
-  EXPECT_EQ(base, run_with(sim::ShardSpec{}, false));
 }
 
 // ---------------------------------------------------------------------------
 // Randomized soak: every model in sequence on one long-lived session, all
-// three schedules, oracle-checked throughout. The `parallel` label routes
-// this through the TSan preset with forced worker rounds; the dev/asan
-// presets run it with full heap checking.
+// three schedules, oracle-checked throughout.
 // ---------------------------------------------------------------------------
 
 class FaultSoak : public ::testing::TestWithParam<std::uint64_t> {};
@@ -531,8 +517,6 @@ TEST_P(FaultSoak, MixedModelsStayOracleCleanOnEverySchedule) {
   for (const NetKind net :
        {NetKind::kSync, NetKind::kAsync, NetKind::kAdversarial}) {
     World w = test::make_gnm_world(40, 140, seed, net);
-    w.net->set_shards(sim::ShardSpec{4});
-    w.net->set_shard_serial_cutoff(0);
     test::mark_msf(w);
     core::SessionOptions opt;
     opt.check_oracle = true;

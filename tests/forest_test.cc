@@ -10,9 +10,6 @@
 // backend and in sparse-mark mode. Send order in every tree protocol is
 // the neighbors() order, so this equality is what keeps all model-cost
 // counters bit-identical.
-//
-// The suite carries the `parallel` label: its last case marks edges from
-// Add-Edge handlers on two shard workers, which is where rows could race.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -310,21 +307,13 @@ TEST(ForestRows, RemovalReorderIsFollowed) {
   }
 }
 
-// Build MST marks every tree edge from Add-Edge handlers. With two shards
-// and no serial cutoff those handlers run on worker threads (TSan covers
-// this case via the `parallel` label); the rows they leave must equal the
-// filtered walk, and the bill must equal the unsharded one.
-TEST(ForestRows, ShardedBuildMstLeavesExactRows) {
-  const auto build = [](int shards) {
-    test::World w = test::make_gnm_world(96, 400, 11);
-    w.net->set_shards(sim::ShardSpec{shards, sim::ShardPartition::kHash});
-    w.net->set_shard_serial_cutoff(0);
-    EXPECT_TRUE(core::build_mst(*w.net, *w.forest).spanning);
-    EXPECT_TRUE(same_edge_set(w.forest->marked_edges(), kruskal_msf(*w.g)));
-    expect_rows_match(*w.forest, "sharded build");
-    return w.net->metrics();
-  };
-  EXPECT_EQ(build(2), build(1));
+// Build MST marks every tree edge from Add-Edge handlers; the rows they
+// leave must equal the filtered walk.
+TEST(ForestRows, BuildMstLeavesExactRows) {
+  test::World w = test::make_gnm_world(96, 400, 11);
+  EXPECT_TRUE(core::build_mst(*w.net, *w.forest).spanning);
+  EXPECT_TRUE(same_edge_set(w.forest->marked_edges(), kruskal_msf(*w.g)));
+  expect_rows_match(*w.forest, "build");
 }
 
 }  // namespace

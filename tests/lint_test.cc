@@ -374,8 +374,8 @@ TEST(RepoPolicy, ClassifiesByLayout) {
 }
 
 // The tree-row forest (row upkeep runs in marking handlers) and
-// broadcast-and-echo run inside tree-protocol handlers, on shard workers
-// too: they carry the hot-path rules.
+// broadcast-and-echo run inside tree-protocol handlers: they carry the
+// hot-path rules.
 TEST(RepoPolicy, TreeRowFilesAreHotPath) {
   for (const char* path :
        {"src/graph/forest.h", "src/graph/forest.cc",

@@ -2,6 +2,8 @@
 // run_scenario/run_sweep entry points, and the seed discipline.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/build_mst.h"
 #include "graph/mst_oracle.h"
 #include "scenario/scenario.h"
@@ -85,6 +87,19 @@ TEST(MakeWorld, NetKindSelectsTheTransport) {
     ASSERT_NE(w.net, nullptr);
     EXPECT_EQ(w.g->node_count(), 16u);
     EXPECT_EQ(w.forest->marked_edges().size(), 0u);
+  }
+}
+
+// NetSpec::shards survives only as a compatibility field: 1 is accepted,
+// anything else is refused rather than silently ignored.
+TEST(MakeWorld, ShardsOtherThanOneAreRejected) {
+  Scenario sc;
+  sc.graph = GraphSpec::gnm(16, 30);
+  sc.net.shards.shards = 1;
+  EXPECT_NE(make_world(sc).net, nullptr);
+  for (const int shards : {0, 2, 8}) {
+    sc.net.shards.shards = shards;
+    EXPECT_THROW(make_world(sc), std::invalid_argument) << shards;
   }
 }
 

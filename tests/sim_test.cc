@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <memory>
+#include <ostream>
 #include <set>
+#include <stdexcept>
 #include <string>
 
 #include "graph/generators.h"
@@ -383,46 +388,176 @@ TEST(Metrics, PlusEquals) {
   EXPECT_EQ(a.dropped_deliveries, 0u);
 }
 
+// A rally of `balls` messages bouncing between the two ends of one edge:
+// every delivery sends exactly one message back, so exactly `balls`
+// envelopes are pending at every instant and the rally never ends on its
+// own -- only the max_rounds backstop stops it.
+class Rally final : public Protocol {
+ public:
+  explicit Rally(int balls) : balls_(balls) {}
+
+  void on_start(Network& net, NodeId self) override {
+    for (int i = 0; i < balls_; ++i) net.send(self, 1, Message(Tag::kNone));
+  }
+
+  void on_message(Network& net, NodeId self, NodeId from,
+                  const Message&) override {
+    ++delivered_;
+    net.send(self, from, Message(Tag::kNone));
+  }
+
+  std::uint64_t delivered() const { return delivered_; }
+
+ private:
+  int balls_;
+  std::uint64_t delivered_ = 0;
+};
+
+struct BackstopCase {
+  const char* name;
+  std::function<std::unique_ptr<Network>(const graph::Graph&)> make;
+  int balls;
+  std::uint64_t max_rounds;
+};
+
+// Names the case in test listings (the default would print raw bytes).
+void PrintTo(const BackstopCase& c, std::ostream* os) { *os << c.name; }
+
+class MaxRoundsBackstop : public ::testing::TestWithParam<BackstopCase> {};
+
 // The max_rounds backstop discards whatever is still in flight. Those
 // discards must surface in dropped_deliveries -- not vanish silently --
-// and the count must agree between the round-batched bucket drain and the
-// (at, seq) heap drain.
-TEST(SyncNetwork, MaxRoundsBackstopCountsUndeliveredAsDrops) {
+// under every policy: the count is exactly the number of envelopes pending
+// when the backstop trips, and the operation reports max_rounds elapsed.
+TEST_P(MaxRoundsBackstop, CountsEveryPendingEnvelopeAsDropped) {
+  const BackstopCase& c = GetParam();
   auto g = path_graph(2, 20);
-  SyncNetwork net(*g, 7);
-  PingPong proto(0, 1, 100);
+  const std::unique_ptr<Network> net = c.make(*g);
+  Rally proto(c.balls);
   const NodeId participants[] = {0};
-  const std::uint64_t rounds = net.run(proto, participants, /*max_rounds=*/10);
-  // Ten hops land; the eleventh send is pending when the backstop trips.
-  EXPECT_EQ(rounds, 10u);
-  EXPECT_EQ(proto.received(), 10);
-  EXPECT_EQ(net.metrics().messages, 11u);
-  EXPECT_EQ(net.metrics().dropped_deliveries, 1u);
+  const std::uint64_t rounds = net->run(proto, participants, c.max_rounds);
+  EXPECT_EQ(rounds, c.max_rounds);
+  EXPECT_EQ(net->metrics().rounds, c.max_rounds);
+  EXPECT_GT(proto.delivered(), 0u);
+  EXPECT_EQ(net->metrics().dropped_deliveries,
+            static_cast<std::uint64_t>(c.balls));
+  EXPECT_EQ(net->metrics().messages,
+            proto.delivered() + net->metrics().dropped_deliveries);
+
+  // The transport is clean afterwards: the next operation starts at t = 0.
+  PingPong again(0, 1, 3);
+  net->run(again, participants);
+  EXPECT_EQ(again.received(), 3);
+  EXPECT_EQ(net->metrics().dropped_deliveries,
+            static_cast<std::uint64_t>(c.balls));
 }
 
-TEST(SyncNetwork, MaxRoundsBackstopDropCountMatchesOnHeapPath) {
-  auto g = path_graph(2, 21);
-  SyncNetwork net(*g, 7);
-  net.set_round_batching(false);
-  PingPong proto(0, 1, 100);
-  const NodeId participants[] = {0};
-  net.run(proto, participants, /*max_rounds=*/10);
-  EXPECT_EQ(proto.received(), 10);
-  EXPECT_EQ(net.metrics().messages, 11u);
-  EXPECT_EQ(net.metrics().dropped_deliveries, 1u);
+AdversarialConfig fixed_delay(std::uint64_t d) {
+  AdversarialConfig cfg;
+  cfg.min_delay = d;
+  cfg.max_delay = d;
+  cfg.reorder_window = 0;
+  return cfg;
 }
 
-TEST(SyncNetwork, MaxRoundsBackstopDropCountMatchesOnShardedPath) {
-  auto g = path_graph(2, 22);
-  SyncNetwork net(*g, 7);
-  net.set_shards(ShardSpec{2, ShardPartition::kContiguous});
-  net.set_shard_serial_cutoff(0);
-  PingPong proto(0, 1, 100);
+INSTANTIATE_TEST_SUITE_P(
+    Policies, MaxRoundsBackstop,
+    ::testing::Values(
+        BackstopCase{"sync",
+                     [](const graph::Graph& g) -> std::unique_ptr<Network> {
+                       return std::make_unique<SyncNetwork>(g, 7);
+                     },
+                     2, 10},
+        BackstopCase{"async",
+                     [](const graph::Graph& g) -> std::unique_ptr<Network> {
+                       return std::make_unique<AsyncNetwork>(g, 7);
+                     },
+                     4, 50},
+        BackstopCase{"adversarial",
+                     [](const graph::Graph& g) -> std::unique_ptr<Network> {
+                       return std::make_unique<AdversarialNetwork>(g, 7);
+                     },
+                     3, 40},
+        // Deliveries land at t = 5 and 10; the next one is due at 15, past
+        // the bound of 12, so the scan crosses the empty slots 11..14
+        // before the backstop trips -- and still reports 12 rounds.
+        BackstopCase{"adversarial_empty_slots",
+                     [](const graph::Graph& g) -> std::unique_ptr<Network> {
+                       return std::make_unique<AdversarialNetwork>(
+                           g, 7, fixed_delay(5));
+                     },
+                     1, 12}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+// Every policy states a bound on the delays it draws; the wheel is sized
+// from it, so a draw beyond it would be delivered early.
+TEST(DeliveryPolicy, MaxDelayBoundsEveryDraw) {
+  FifoSyncPolicy sync;
+  RandomDelayPolicy random(3, 16);
+  AdversarialConfig cfg;
+  cfg.max_delay = 6;
+  cfg.reorder_window = 3;
+  AdversarialPolicy adversarial(3, cfg);
+  adversarial.set_edge_bounds(0, 1, 2, 11);
+  EXPECT_EQ(sync.max_delay(), 1u);
+  EXPECT_EQ(random.max_delay(), 16u);
+  EXPECT_EQ(adversarial.max_delay(), 11u + 3u);
+  std::uint64_t seen[3] = {0, 0, 0};
+  for (std::uint64_t now = 0; now < 2000; ++now) {
+    seen[0] = std::max(seen[0], sync.delivery_time(0, 1, now) - now);
+    seen[1] = std::max(seen[1], random.delivery_time(0, 1, now) - now);
+    seen[2] = std::max(seen[2], adversarial.delivery_time(0, 1, now) - now);
+  }
+  EXPECT_EQ(seen[0], sync.max_delay());
+  EXPECT_EQ(seen[1], random.max_delay());
+  EXPECT_EQ(seen[2], adversarial.max_delay());
+}
+
+// Raising an edge's delay bounds from inside a handler outgrows the wheel
+// sized at run start. The next send along that edge must fail the run --
+// in Release builds too -- instead of aliasing into an earlier slot and
+// arriving early; the network stays usable afterwards.
+TEST(AdversarialNetwork, MidRunBoundRaiseFailsTheRunVisibly) {
+  class Raiser final : public Protocol {
+   public:
+    void on_start(Network& net, NodeId self) override {
+      net.send(self, 1, Message(Tag::kNone));
+    }
+    void on_message(Network& net, NodeId self, NodeId from,
+                    const Message&) override {
+      static_cast<AdversarialPolicy&>(net.policy())
+          .set_edge_bounds(self, from, 40, 40);
+      net.send(self, from, Message(Tag::kNone));
+    }
+  } raiser;
+
+  auto g = path_graph(2, 23);
+  AdversarialNetwork net(*g, 7, fixed_delay(1));
   const NodeId participants[] = {0};
-  net.run(proto, participants, /*max_rounds=*/10);
-  EXPECT_EQ(proto.received(), 10);
-  EXPECT_EQ(net.metrics().messages, 11u);
-  EXPECT_EQ(net.metrics().dropped_deliveries, 1u);
+  EXPECT_THROW(net.run(raiser, participants), std::logic_error);
+
+  // The next run sizes the wheel for the raised bound.
+  PingPong proto(0, 1, 2);
+  EXPECT_EQ(net.run(proto, participants), 80u);
+  EXPECT_EQ(proto.received(), 2);
+}
+
+// Bounds raised between runs grow the wheel at the next run() and the
+// message arrives at exactly the configured time.
+TEST(AdversarialNetwork, BoundsRaisedBetweenRunsGrowTheWheel) {
+  auto g = path_graph(2, 24);
+  AdversarialNetwork net(*g, 7, fixed_delay(1));
+  const NodeId participants[] = {0};
+  PingPong warm(0, 1, 3);
+  EXPECT_EQ(net.run(warm, participants), 3u);
+  net.adversary().set_edge_bounds(0, 1, 40, 40);
+  EXPECT_EQ(net.policy().max_delay(), 40u);
+  PingPong one(0, 1, 1);
+  EXPECT_EQ(net.run(one, participants), 40u);
+  EXPECT_EQ(one.received(), 1);
+  PingPong three(0, 1, 3);
+  EXPECT_EQ(net.run(three, participants), 120u);
+  EXPECT_EQ(net.metrics().dropped_deliveries, 0u);
 }
 
 }  // namespace
