@@ -12,7 +12,7 @@ void BM_BuildSt_Kkt(benchmark::State& state) {
   const std::size_t m = n * (n - 1) / 2;  // complete: worst for flooding
   for (auto _ : state) {
     World w = make_gnm_world(n, m, 60);
-    const core::BuildStStats stats = core::build_st(*w.net, *w.forest);
+    const core::BuildStats stats = core::build_st(*w.net, *w.forest);
     if (!stats.spanning) state.SkipWithError("did not span");
     report(state, w.net->metrics(), n, m);
     state.counters["phases"] = static_cast<double>(stats.phases);

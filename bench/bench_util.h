@@ -102,8 +102,8 @@ inline void report(benchmark::State& state, const sim::Metrics& m,
 // the whole session is written there in the unified result schema --
 // deterministic counters only, no wall-clock noise, so BENCH_*.json
 // artifacts share one version header and diff cleanly across commits.
-// (Google Benchmark's own --benchmark_out still works; artifacts written
-// that way are readable via the schema parser's one-release legacy shim.)
+// (Google Benchmark's own --benchmark_out still works, but its JSON is not
+// a result artifact: kkt_report rejects it.)
 //
 // Wall-clock capture is opt-in: KKT_BENCH_WALL=k (k >= 1; any other value
 // means k = 5) runs the whole suite k+1 times -- one discarded warm-up

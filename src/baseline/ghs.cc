@@ -188,17 +188,9 @@ class GhsSearch final : public sim::Protocol {
   graph::EdgeNum best_num_ = 0;
 };
 
-std::vector<std::vector<NodeId>> fragment_lists(
-    const std::vector<std::uint32_t>& label, std::size_t count) {
-  std::vector<std::vector<NodeId>> frags(count);
-  for (NodeId v = 0; v < label.size(); ++v) frags[label[v]].push_back(v);
-  return frags;
-}
-
 }  // namespace
 
-GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest,
-                       const GhsConfig& cfg) {
+GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest) {
   assert(forest.marked_edges().empty() && "forest must start empty");
   const graph::Graph& g = net.graph();
   const std::size_t n = g.node_count();
@@ -207,11 +199,9 @@ GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest,
 
   const std::size_t graph_components = graph::components(g).second;
   const std::size_t max_phases =
-      cfg.max_phases != 0
-          ? cfg.max_phases
-          : 2 * static_cast<std::size_t>(std::ceil(std::log2(
-                    static_cast<double>(std::max<std::size_t>(n, 2))))) +
-                4;
+      2 * static_cast<std::size_t>(std::ceil(
+              std::log2(static_cast<double>(std::max<std::size_t>(n, 2))))) +
+      4;
 
   // Persistent across phases: the classic GHS rejected-edge memory.
   std::vector<char> rejected(g.edge_slots() + g.node_count() * 4, 0);
@@ -221,7 +211,8 @@ GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest,
   proto::ProtoScratch scratch;
 
   for (std::size_t phase = 1; phase <= max_phases; ++phase) {
-    auto [label, count] = forest.components();
+    const auto frags = forest.fragments();
+    const std::size_t count = frags.size();
     if (count == graph_components) {
       stats.spanning = true;
       break;
@@ -232,7 +223,6 @@ GhsStats ghs_build_mst(sim::Network& net, graph::MarkedForest& forest,
 
     const graph::TreeView tree(forest, static_cast<std::uint32_t>(phase) - 1);
     proto::TreeOps ops(net, tree, &scratch);
-    const auto frags = fragment_lists(label, count);
 
     // Step 1 (all fragments in parallel): elect leaders; the announcement
     // doubles as the fragment-ID broadcast.

@@ -1,66 +1,31 @@
 // Build ST (paper Section 4.2): spanning-tree construction with FindAny-C.
 //
-// The Boruvka skeleton of Build MST with two modifications. First,
-// FindAny-C replaces FindMin-C, saving a log n / log log n factor. Second,
-// because the graph is (effectively) unweighted, the edges chosen by the
-// fragments of one phase can close one cycle per merged component; the
-// cycle is detected by re-running leader election (the echoes stall exactly
-// at the cycle nodes), broken by the randomized unmark protocol, and -- if
-// the coin flips all disagree -- removed wholesale (every cycle node
-// unmarks its two cycle edges locally, a timeout decision costing no
-// messages). Total cost O(n log n) messages and time w.h.p. (Lemma 6).
+// Each phase is the shared Boruvka phase (core/boruvka.h) with FindAny-C as
+// the fragment search, which saves Build MST's log n / log log n factor.
+// Because the graph is (effectively) unweighted, the edges the fragments
+// of one phase choose can close one cycle per merged component; the phase
+// detects, breaks or removes it before the next phase starts. Total cost
+// O(n log n) messages and time w.h.p. (Lemma 6).
+//
+// The phase loop is Build MST's: it stops once the forest spans, or after
+// (40c/C_eff) lg n phases, with C_eff = 1/32 because FindAny-C succeeds
+// with probability >= 1/16 (Lemma 5) and cycle breaking can undo up to
+// half of a phase's progress.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <span>
-#include <utility>
-#include <vector>
-
+#include "core/boruvka.h"
 #include "core/find_any.h"
 #include "graph/forest.h"
-#include "proto/tree_ops.h"
 #include "sim/network.h"
 
 namespace kkt::core {
 
-struct BuildStConfig {
-  int c = 2;
-  bool stop_when_spanning = true;
-  // 0 selects the paper's O(lg n) budget (with FindAny-C's conservative
-  // 1/16 success constant).
-  std::size_t max_phases = 0;
-};
-
-struct StPhaseInfo {
-  std::size_t fragments = 0;
-  std::size_t merges = 0;
-  std::size_t cycles_detected = 0;
-  std::size_t cycles_hard_reset = 0;  // cycles removed wholesale
-  std::uint64_t messages = 0;
-  std::uint64_t max_rounds = 0;
-};
-
-struct BuildStStats {
-  std::size_t phases = 0;
-  bool spanning = false;
-  std::vector<StPhaseInfo> per_phase;
-};
+// FindAny-C, the search the paper's Build ST runs.
+inline constexpr FindAnyConfig kBuildFindAny{.capped = true};
 
 // Constructs a spanning forest of net.graph() into `forest` (must start
 // empty). Edge weights are ignored (the ST problem is unweighted).
-BuildStStats build_st(sim::Network& net, graph::MarkedForest& forest,
-                      const BuildStConfig& cfg = {});
-
-// Resolves one potential cycle in a merged component (Section 4.2): leader
-// election detects it (stalled echoes), the randomized unmark protocol
-// breaks it, and if every coin disagreed a second election confirms and the
-// cycle is removed wholesale by local timeout decisions. Used by Build ST
-// after each phase and by the batched ST repair extension.
-// Returns {cycle_detected, hard_reset}.
-std::pair<bool, bool> resolve_st_cycle(sim::Network& net,
-                                       graph::MarkedForest& forest,
-                                       proto::TreeOps& ops,
-                                       std::span<const graph::NodeId> nodes);
+BuildStats build_st(sim::Network& net, graph::MarkedForest& forest,
+                    const FindAnyConfig& cfg = kBuildFindAny);
 
 }  // namespace kkt::core

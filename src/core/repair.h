@@ -6,9 +6,10 @@
 // Each update is processed to completion on an asynchronous network:
 //
 //   Delete(u, v):   if the edge was in the forest, the smaller-ID endpoint
-//                   runs FindMin (MST) or FindAny (ST) in its orphaned
-//                   subtree; a found replacement is installed by the
-//                   Add-Edge handshake; the empty answer certifies a bridge.
+//                   runs the fragment search of core/boruvka.h -- FindMin
+//                   (MST) or FindAny (ST) -- in its orphaned subtree; a
+//                   found replacement is installed by the Add-Edge
+//                   handshake; the empty answer certifies a bridge.
 //   Insert(u, v):   the smaller-ID endpoint asks its tree, with one
 //                   broadcast-and-echo, whether v is present and what the
 //                   heaviest path edge towards v is; it then either merges
@@ -19,6 +20,10 @@
 //                   (the edge itself remains a candidate); decrease on a
 //                   non-tree edge like an insertion; the other two cases
 //                   need no communication at all.
+//   Batch delete:   (extension) removes a set of edges at once and
+//                   completes the forest with the Boruvka phase that Build
+//                   MST and Build ST run (core/boruvka.h), restricted to the
+//                   fragments holding an orphaned endpoint.
 //
 // Every operation reports its own message/round cost, measured as metric
 // deltas on the underlying network.
@@ -28,6 +33,7 @@
 #include <optional>
 #include <string_view>
 
+#include "core/boruvka.h"
 #include "core/find_any.h"
 #include "core/find_min.h"
 #include "graph/forest.h"
@@ -38,9 +44,6 @@ namespace kkt::core {
 using graph::EdgeIdx;
 using graph::NodeId;
 using graph::Weight;
-
-// Which invariant the maintained forest satisfies.
-enum class ForestKind { kMst, kSt };
 
 enum class RepairAction {
   kNone,          // nothing to do (e.g. non-tree deletion)
@@ -81,17 +84,21 @@ class DynamicForest {
 
   // Extension (the paper's "simultaneous edge changes" future work):
   // deletes a whole batch of edges at once and repairs the forest with
-  // Boruvka-style phases restricted to the damaged fragments. Correct for
-  // MSTs because deleting edges never evicts a surviving MST edge (each
-  // survivor stays minimum across the cut that certified it), so the
-  // remaining forest is a subforest of the new MSF and completing it
-  // greedily from minimum leaving edges is exact. Fragments repaired in
-  // parallel phases: messages sum, elapsed time counts the slowest
-  // fragment.
+  // Boruvka phases (core/boruvka.h). The endpoints of removed tree edges
+  // start active; a phase runs the fragments holding an active node, and a
+  // fragment leaves the active set once its search certifies that no edge
+  // leaves it. Correct for MSTs because deleting edges never evicts a
+  // surviving MST edge (each survivor stays minimum across the cut that
+  // certified it), so the remaining forest is a subforest of the new MSF
+  // and completing it greedily from minimum leaving edges is exact.
   struct BatchOutcome {
     std::size_t tree_edges_removed = 0;
-    std::size_t replacements = 0;
+    std::size_t replacements = 0;  // completed Add-Edge handshakes
     std::size_t phases = 0;
+    // Nodes still active when the phase cap ran out: their fragments may
+    // not be maximal (an exhausted Monte Carlo search certifies nothing).
+    // 0 means every damaged fragment was certified maximal.
+    std::size_t unresolved = 0;
     std::uint64_t messages = 0;
     std::uint64_t rounds = 0;
   };
@@ -133,6 +140,10 @@ class DynamicForest {
   void broadcast_drop(NodeId root, graph::EdgeNum edge_num);
 
   NodeId smaller_ext_endpoint(EdgeIdx e) const;
+
+  SearchConfig search() const {
+    return {kind_, find_min_config, find_any_config};
+  }
 
   graph::Graph* graph_;
   graph::MarkedForest* forest_;

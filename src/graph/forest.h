@@ -168,6 +168,11 @@ class MarkedForest {
   // Component label per node of the marked subgraph, plus component count.
   std::pair<std::vector<std::uint32_t>, std::size_t> components() const;
 
+  // Node list per component of the marked subgraph: in components() label
+  // order (by smallest node), each list ascending. The fragments of a
+  // Boruvka phase, of verification and of the GHS baseline.
+  std::vector<std::vector<NodeId>> fragments() const;
+
   // All nodes in the marked-subgraph component containing root.
   std::vector<NodeId> component_of(NodeId root) const;
 

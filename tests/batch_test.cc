@@ -2,6 +2,7 @@
 // work; see DynamicForest::delete_batch).
 #include <gtest/gtest.h>
 
+#include "core/build_st.h"
 #include "core/repair.h"
 #include "graph/mst_oracle.h"
 #include "test_util.h"
@@ -134,6 +135,73 @@ TEST(Batch, TimeIsSublinearInBatchSize) {
     for (EdgeIdx e : batch) seq_rounds += dyn.delete_edge(e).rounds;
   }
   EXPECT_LT(batch_rounds, seq_rounds);
+}
+
+// FindAny-C makes one isolation attempt, which can fail on a fragment that
+// does have a leaving edge. Such a fragment is not maximal: it retries in
+// the next phase, and dirty nodes left when the phase cap runs out are
+// reported. A batch never returns a non-spanning forest silently.
+TEST(Batch, ExhaustedSearchRetriesOrIsReported) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    World w = test::make_gnm_world(128, 1024, seed, test::NetKind::kAsync);
+    ASSERT_TRUE(build_st(*w.net, *w.forest).spanning);
+    DynamicForest dyn(*w.g, *w.forest, *w.net, ForestKind::kSt);
+    dyn.find_any_config.capped = true;
+    const auto out = dyn.delete_batch(pick_batch(w, 8, seed, true));
+    EXPECT_TRUE(w.forest->is_spanning_forest() || out.unresolved > 0)
+        << "seed " << seed;
+  }
+}
+
+// A search that can never finish (one FindMin iteration over the full
+// weight range) leaves its fragments active until the phase cap runs out,
+// and the batch reports them instead of returning a forest that looks
+// repaired.
+TEST(Batch, UnfinishedRepairIsReported) {
+  World w = make_repair_world(32, 160, 4);
+  DynamicForest dyn(*w.g, *w.forest, *w.net, ForestKind::kMst);
+  dyn.find_min_config.c = 0;  // budget: one iteration
+  dyn.find_min_config.capped = true;
+  const auto out = dyn.delete_batch(pick_batch(w, 4, 4, true));
+  EXPECT_EQ(out.replacements, 0u);
+  EXPECT_EQ(out.phases, 2 * 4 + 4u);
+  EXPECT_GT(out.unresolved, 0u);
+  EXPECT_FALSE(w.forest->is_spanning_forest());
+}
+
+// Exact model costs of batch repair at fixed seeds, for both forest kinds:
+// delete_batch runs the Boruvka phase that Build MST and Build ST run, so a
+// counter that moves here is a change to that phase and must say why.
+TEST(Batch, CostsPinnedAtFixedSeeds) {
+  struct Pin {
+    ForestKind kind;
+    std::size_t n, m, k;
+    std::uint64_t seed;
+    std::size_t phases, replacements;
+    std::uint64_t messages, message_bits, rounds, broadcast_echoes;
+  };
+  const Pin pins[] = {
+      {ForestKind::kMst, 48, 380, 8, 13, 3, 11, 4221, 1533520, 5313, 233},
+      {ForestKind::kMst, 32, 160, 4, 2, 2, 5, 1364, 473088, 3383, 98},
+      {ForestKind::kSt, 48, 380, 8, 13, 7, 21, 4057, 841360, 5317, 103},
+      {ForestKind::kSt, 32, 160, 4, 2, 2, 5, 468, 91264, 1212, 24},
+  };
+  for (const Pin& p : pins) {
+    World w = make_repair_world(p.n, p.m, p.seed);
+    DynamicForest dyn(*w.g, *w.forest, *w.net, p.kind);
+    const auto out = dyn.delete_batch(pick_batch(w, p.k, p.seed, true));
+    const sim::Metrics& c = w.net->metrics();  // the batch is the only cost
+    const auto kind = p.kind == ForestKind::kMst ? "mst" : "st";
+    EXPECT_TRUE(w.forest->is_spanning_forest()) << kind;
+    EXPECT_EQ(out.phases, p.phases) << kind;
+    EXPECT_EQ(out.replacements, p.replacements) << kind;
+    EXPECT_EQ(out.messages, c.messages) << kind;
+    EXPECT_EQ(out.rounds, c.rounds) << kind;
+    EXPECT_EQ(c.messages, p.messages) << kind;
+    EXPECT_EQ(c.message_bits, p.message_bits) << kind;
+    EXPECT_EQ(c.rounds, p.rounds) << kind;
+    EXPECT_EQ(c.broadcast_echoes, p.broadcast_echoes) << kind;
+  }
 }
 
 }  // namespace

@@ -93,7 +93,7 @@ TEST(BuildMst, AblationSmallerWCostsMoreBroadcasts) {
   std::uint64_t bes[2];
   for (int i = 0; i < 2; ++i) {
     World w = make_gnm_world(48, 400, 14);
-    BuildMstConfig cfg;
+    FindMinConfig cfg = kBuildFindMin;
     cfg.w = i == 0 ? 64 : 2;
     build_mst(*w.net, *w.forest, cfg);
     bes[i] = w.net->metrics().broadcast_echoes;
@@ -106,7 +106,7 @@ class BuildStSweep : public ::testing::TestWithParam<BuildCase> {};
 TEST_P(BuildStSweep, BuildsASpanningForest) {
   const auto [n, m, seed] = GetParam();
   World w = make_gnm_world(n, m, seed);
-  const BuildStStats stats = build_st(*w.net, *w.forest);
+  const BuildStats stats = build_st(*w.net, *w.forest);
   EXPECT_TRUE(stats.spanning);
   EXPECT_TRUE(w.forest->properly_marked());
   EXPECT_TRUE(w.forest->is_spanning_forest());
@@ -127,7 +127,7 @@ TEST(BuildSt, DisconnectedGraph) {
   for (NodeId v = 0; v < 3; ++v) g->add_edge(v, (v + 1) % 3, 1);
   for (NodeId v = 4; v < 7; ++v) g->add_edge(v, v + 1, 1);
   World w = test::make_world(std::move(g), 15);
-  const BuildStStats stats = build_st(*w.net, *w.forest);
+  const BuildStats stats = build_st(*w.net, *w.forest);
   EXPECT_TRUE(stats.spanning);
   EXPECT_TRUE(w.forest->is_spanning_forest());
 }
@@ -141,7 +141,7 @@ TEST(BuildSt, RingsExerciseCycleHandling) {
     util::Rng rng(seed);
     auto g = std::make_unique<graph::Graph>(graph::ring(16, {4}, rng));
     World w = test::make_world(std::move(g), seed * 31);
-    const BuildStStats stats = build_st(*w.net, *w.forest);
+    const BuildStats stats = build_st(*w.net, *w.forest);
     EXPECT_TRUE(stats.spanning) << "seed " << seed;
     EXPECT_TRUE(w.forest->is_spanning_forest()) << "seed " << seed;
     for (const auto& ph : stats.per_phase) cycles_seen += ph.cycles_detected;
@@ -162,6 +162,57 @@ TEST(BuildSt, CheaperThanBuildMst) {
     mst_msgs = w.net->metrics().messages;
   }
   EXPECT_LT(st_msgs, mst_msgs);
+}
+
+// Exact model costs of Build ST at two fixed seeds. Build MST's are pinned
+// by the perf counter gate (bench/baselines/BENCH_mst_perf.json); Build ST
+// runs the same Boruvka phase plus cycle resolution, so a counter that
+// moves here is a change to that phase and must say why.
+struct CostPin {
+  std::size_t n, m;
+  std::uint64_t seed;
+  std::uint64_t messages, message_bits, rounds, broadcast_echoes;
+};
+
+TEST(BuildSt, CostsPinnedAtFixedSeeds) {
+  const CostPin pins[] = {
+      {64, 256, 1, 4316, 826368, 646, 424},
+      {128, 1024, 2, 10432, 1994176, 1276, 858},
+  };
+  for (const CostPin& p : pins) {
+    World w = make_gnm_world(p.n, p.m, p.seed);
+    EXPECT_TRUE(build_st(*w.net, *w.forest).spanning);
+    const sim::Metrics& c = w.net->metrics();
+    EXPECT_EQ(c.messages, p.messages) << "seed " << p.seed;
+    EXPECT_EQ(c.message_bits, p.message_bits) << "seed " << p.seed;
+    EXPECT_EQ(c.rounds, p.rounds) << "seed " << p.seed;
+    EXPECT_EQ(c.broadcast_echoes, p.broadcast_echoes) << "seed " << p.seed;
+  }
+}
+
+// Every round and message a build spends belongs to some phase: the
+// per-phase figures sum to the run's totals, Build ST's cycle resolution
+// included.
+TEST(Build, PerPhaseCostsSumToTotals) {
+  for (const std::uint64_t seed : {1u, 2u, 3u}) {
+    for (const test::NetKind kind : {test::NetKind::kSync,
+                                     test::NetKind::kAsync}) {
+      for (const bool st : {false, true}) {
+        World w = make_gnm_world(64, 256, seed, kind);
+        const BuildStats stats = st ? build_st(*w.net, *w.forest)
+                                    : build_mst(*w.net, *w.forest);
+        std::uint64_t rounds = 0, messages = 0;
+        for (const PhaseInfo& ph : stats.per_phase) {
+          rounds += ph.rounds;
+          messages += ph.messages;
+        }
+        EXPECT_EQ(rounds, w.net->metrics().rounds)
+            << (st ? "st" : "mst") << " seed " << seed;
+        EXPECT_EQ(messages, w.net->metrics().messages)
+            << (st ? "st" : "mst") << " seed " << seed;
+      }
+    }
+  }
 }
 
 // --- baselines ---------------------------------------------------------------

@@ -36,8 +36,7 @@
 //       docs/PERF.md), advisory (warn, exit 0 -- for shared CI runners
 //       whose wall clock is not trustworthy), or off.
 //
-// The artifact format is docs/RESULT_SCHEMA.md; --in also accepts the
-// legacy Google Benchmark JSON via the one-release read shim.
+// The artifact format is docs/RESULT_SCHEMA.md.
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
